@@ -214,66 +214,6 @@ void BM_WorldPingPong(benchmark::State& state) {
 
 BENCHMARK(BM_WorldPingPong)->Arg(4 << 10)->Arg(64 << 10);
 
-// --- small-message storm: coalesced vs uncoalesced --------------------------
-// A rank blasting sub-threshold messages at a neighbor (the per-neighbor
-// tiny-message pattern of irregular reductions and 1-cell halos). The
-// Time column is MODELED time (UseManualTime): the sender's virtual time
-// to inject the storm, which is what coalescing optimizes — one mpi_call
-// plus one alpha-beta frame cost per flush instead of per message. Wall
-// clock cannot carry this comparison in a threads-as-ranks simulator (both
-// modes move the same payload bytes through process memory, and the frame
-// pays extra staging copies for its modeled win). Acceptance for this PR:
-// coalesced >= 2x modeled throughput on the <= 1 KiB rows.
-
-constexpr int kStormMsgs = 512;
-
-void run_message_storm(benchmark::State& state,
-                       psf::minimpi::CoalesceMode mode) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    psf::minimpi::World world(2);
-    world.set_coalescing(mode);
-    double inject_vtime = 0.0;
-    world.run([&](psf::minimpi::Communicator& comm) {
-      if (comm.rank() == 0) {
-        for (int i = 0; i < kStormMsgs; ++i) {
-          auto payload = comm.acquire_buffer(bytes);
-          std::memset(payload.data(), i & 0xff, bytes);
-          comm.send_pooled(1, 7, std::move(payload));
-        }
-        comm.flush_coalesced();
-        inject_vtime = comm.timeline().now();
-      } else {
-        for (int i = 0; i < kStormMsgs; ++i) {
-          auto message = comm.recv_any(0, 7);
-          benchmark::DoNotOptimize(message.payload.data());
-        }
-      }
-      comm.barrier();
-    });
-    state.SetIterationTime(inject_vtime);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kStormMsgs * static_cast<std::int64_t>(bytes));
-}
-
-void BM_UncoalescedStorm(benchmark::State& state) {
-  run_message_storm(state, psf::minimpi::CoalesceMode::kOff);
-}
-
-void BM_CoalescedStorm(benchmark::State& state) {
-  run_message_storm(state, psf::minimpi::CoalesceMode::kAggregate);
-}
-
-// Fixed iteration counts: the modeled times are deterministic, so repeats
-// add wall time without information.
-BENCHMARK(BM_UncoalescedStorm)
-    ->Arg(64)->Arg(256)->Arg(1 << 10)->Arg(4 << 10)
-    ->UseManualTime()->Iterations(20);
-BENCHMARK(BM_CoalescedStorm)
-    ->Arg(64)->Arg(256)->Arg(1 << 10)->Arg(4 << 10)
-    ->UseManualTime()->Iterations(20);
-
 // --- stencil overlap on/off pair --------------------------------------------
 // Heat3D sweeps with communication/computation overlap plus the
 // double-buffered stream pipeline versus the fully serialized schedule.

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,20 +69,11 @@ constexpr SweepConfig kSweepConfigs[] = {
 
 /// Copy of run_framework from fig5_scalability (kept local: the bench
 /// binaries are independent executables).
-///
-/// Every sweep World runs with per-sub coalescing: small messages batch
-/// into pooled frames (fewer deposits, one allocation per frame) while
-/// each sub keeps the exact per-message pricing, so all vtimes stay
-/// bit-identical to the uncoalesced baseline. PSF_COALESCE still wins if
-/// set ("off" reproduces the historical transport exactly).
 template <typename Workload, typename RunFn>
 double run_framework(const Workload& workload, int nodes,
                      const DeviceConfig& devices, RunFn&& run,
                      timemodel::TraceRecorder* trace = nullptr) {
   minimpi::World world = make_world(nodes, workload.scales);
-  if (std::getenv("PSF_COALESCE") == nullptr) {
-    world.set_coalescing(minimpi::CoalesceMode::kPerSub);
-  }
   world.set_trace(trace);
   std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
   world.run([&](minimpi::Communicator& comm) {
@@ -363,67 +353,6 @@ int main(int argc, char** argv) {
         });
       }
     }
-  }
-  {
-    // Synthetic small-message storm: sub-threshold pooled sends from rank 0
-    // to rank 1, coalesced (kAggregate: one frame deposit + one mpi_call
-    // per flush) vs uncoalesced (one deposit + one mpi_call per message).
-    // The row's vtime is the SENDER's injection time — sends plus the final
-    // flush — because the end-to-end makespan is receiver-bound (every recv
-    // pays the same mpi_call overhead in both modes). CI pins
-    // msgstorm_coalesced strictly below msgstorm_uncoalesced.
-    constexpr int kStormMsgs = 512;
-    constexpr std::size_t kStormBytes = 256;
-    auto storm_inject = [](psf::minimpi::CoalesceMode mode) {
-      psf::minimpi::World world(2);
-      world.set_coalescing(mode);
-      double inject = 0.0;
-      world.run([&](psf::minimpi::Communicator& comm) {
-        if (comm.rank() == 0) {
-          for (int i = 0; i < kStormMsgs; ++i) {
-            auto payload = comm.acquire_buffer(kStormBytes);
-            std::memset(payload.data(), i & 0xff, kStormBytes);
-            comm.send_pooled(1, /*tag=*/7, std::move(payload));
-          }
-          comm.flush_coalesced();
-          inject = comm.timeline().now();
-        } else {
-          for (int i = 0; i < kStormMsgs; ++i) {
-            (void)comm.recv_any(0, /*tag=*/7);
-          }
-        }
-        comm.barrier();
-      });
-      return inject;
-    };
-    double uncoalesced = 0.0;
-    for (const bool coalesced : {false, true}) {
-      const auto wall_begin = std::chrono::steady_clock::now();
-      const double vtime = storm_inject(coalesced
-                                            ? psf::minimpi::CoalesceMode::kAggregate
-                                            : psf::minimpi::CoalesceMode::kOff);
-      BenchResult result;
-      result.name = std::string(coalesced ? "msgstorm_coalesced"
-                                          : "msgstorm_uncoalesced") +
-                    "/net/n2";
-      result.vtime = vtime;
-      if (!coalesced) uncoalesced = vtime;
-      result.speedup = uncoalesced / vtime;
-      result.wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wall_begin)
-                        .count();
-      results.push_back(result);
-      std::printf("  %-28s vtime %12.6f s  speedup %8.1fx  wall %9.4f s\n",
-                  result.name.c_str(), result.vtime, result.speedup,
-                  result.wall);
-    }
-    // Coalescing-heavy steady entry: the measured steady pass must stage
-    // frames and unpack subs without a single fresh allocation
-    // (minimpi.payload_allocs == 0) while minimpi.msgs_coalesced grows —
-    // both asserted by CI on the steady report.
-    steady_runs.push_back([storm_inject] {
-      storm_inject(psf::minimpi::CoalesceMode::kAggregate);
-    });
   }
 
   if (!steady_path.empty()) {

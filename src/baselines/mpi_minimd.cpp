@@ -248,9 +248,9 @@ Result run(minimpi::Communicator& comm, const apps::minimd::Params& params,
                  std::as_bytes(std::span<const double>(
                      &positions[my_begin * 3], (my_end - my_begin) * 3)));
     }
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      auto message = comm.recv_any(minimpi::kAnySource, kGhostTag);
-      const std::size_t src_begin = block_begin(n, size, message.source);
+    for (int p : peers) {
+      auto message = comm.recv_any(p, kGhostTag);
+      const std::size_t src_begin = block_begin(n, size, p);
       std::memcpy(&positions[src_begin * 3], message.payload.data(),
                   message.payload.size());
     }

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -63,22 +61,6 @@ struct World::MsgFaultState {
   std::vector<PerRank> per_rank;
 };
 
-// Sender-side small-message batching (one slot per rank; see
-// set_coalescing). A Batch owns the frame buffer being packed for one
-// destination; `active` lists destinations with a non-empty batch in
-// first-append order, so a full flush deposits frames in a deterministic
-// order independent of destination rank numbering.
-struct World::CoalesceState {
-  struct Batch {
-    support::PooledBuffer frame;
-    std::size_t used = 0;       ///< bytes written (header + subs)
-    std::uint32_t count = 0;    ///< sub-messages packed so far
-    double first_append_vtime = 0.0;
-  };
-  std::vector<Batch> per_dest;
-  std::vector<int> active;
-};
-
 World::World(int size, timemodel::LinkModel network,
              timemodel::Overheads overheads)
     : size_(size), network_(network), overheads_(overheads) {
@@ -91,14 +73,6 @@ World::World(int size, timemodel::LinkModel network,
   }
   barrier_ = std::make_unique<BarrierState>(static_cast<std::size_t>(size));
   msg_faults_ = std::make_unique<std::atomic<MsgFaultState*>>(nullptr);
-  if (const char* env = std::getenv("PSF_COALESCE")) {
-    const std::string_view value(env);
-    if (value == "aggregate" || value == "agg") {
-      set_coalescing(CoalesceMode::kAggregate);
-    } else if (value == "1" || value == "on" || value == "subs") {
-      set_coalescing(CoalesceMode::kPerSub);
-    }
-  }
 }
 
 World::~World() {
@@ -122,32 +96,6 @@ bool World::msg_faults_enabled() const noexcept {
   return msg_fault_state() != nullptr;
 }
 
-void World::set_coalescing(CoalesceMode mode, std::size_t threshold_bytes,
-                           std::size_t max_frame_bytes) {
-  PSF_CHECK_MSG(max_frame_bytes >= sizeof(FrameHeader) +
-                                       sizeof(FrameSubHeader) +
-                                       threshold_bytes,
-                "coalescing frame capacity cannot hold one threshold-sized "
-                "message");
-  coalesce_mode_ = mode;
-  coalesce_threshold_ = threshold_bytes;
-  coalesce_max_frame_ = max_frame_bytes;
-  coalesce_.clear();
-  if (mode == CoalesceMode::kOff) return;
-  coalesce_.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    auto state = std::make_unique<CoalesceState>();
-    state->per_dest.resize(static_cast<std::size_t>(size_));
-    state->active.reserve(static_cast<std::size_t>(size_));
-    coalesce_.push_back(std::move(state));
-  }
-}
-
-World::CoalesceState* World::coalesce_slot(int rank) const noexcept {
-  if (coalesce_.empty()) return nullptr;
-  return coalesce_[static_cast<std::size_t>(rank)].get();
-}
-
 World::MsgFaultState* World::msg_fault_state() const noexcept {
   return msg_faults_->load(std::memory_order_acquire);
 }
@@ -163,10 +111,6 @@ void World::run(const std::function<void(Communicator&)>& rank_main) {
       Communicator comm(*this, r);
       try {
         rank_main(comm);
-        // End-of-rank flush boundary: a trailing batch whose receiver is
-        // already blocked in recv() must still be deposited. Skipped on
-        // exceptions (the pending-message drain check is waived there too).
-        comm.flush_coalesced();
       } catch (...) {
         std::lock_guard<std::mutex> guard(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -233,15 +177,6 @@ void World::set_trace(timemodel::TraceRecorder* trace) {
 void Communicator::deliver(int dest, int tag,
                            support::PooledBuffer payload) {
   PSF_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank " << dest);
-  if (World::CoalesceState* coalesce = world_->coalesce_slot(rank_)) {
-    if (payload.size() <= world_->coalesce_threshold_) {
-      coalesce_append(*coalesce, dest, tag, std::move(payload));
-      return;
-    }
-    // A super-threshold send must not overtake batched smalls to the same
-    // destination (MPI non-overtaking per (source, dest)).
-    coalesce_flush_dest(*coalesce, dest);
-  }
   PSF_METRIC_ADD("minimpi.messages_sent", 1);
   PSF_METRIC_ADD("minimpi.bytes_sent", payload.size());
   PSF_METRIC_HIST_RECORD("minimpi.msg_bytes", payload.size());
@@ -399,220 +334,6 @@ void Communicator::deliver(int dest, int tag,
   }
 }
 
-void Communicator::coalesce_append(World::CoalesceState& state, int dest,
-                                   int tag, support::PooledBuffer payload) {
-  PSF_METRIC_ADD("minimpi.messages_sent", 1);
-  PSF_METRIC_ADD("minimpi.bytes_sent", payload.size());
-  PSF_METRIC_HIST_RECORD("minimpi.msg_bytes", payload.size());
-  if (payload.fresh()) PSF_METRIC_ADD("minimpi.payload_allocs", 1);
-
-  auto& batch = state.per_dest[static_cast<std::size_t>(dest)];
-  const std::size_t need = sizeof(FrameSubHeader) + payload.size();
-  if (batch.count > 0 && batch.used + need > world_->coalesce_max_frame_) {
-    coalesce_flush_dest(state, dest);
-  }
-  if (batch.count == 0) {
-    batch.frame = acquire_buffer(world_->coalesce_max_frame_);
-    // The frame is the pooled deposit: one payload_allocs charge per FRAME.
-    // (Sub payloads were charged when the caller acquired them, exactly as
-    // on the uncoalesced path; the receiver-side unpack buffers recycle
-    // through the pool and charge nothing.)
-    if (batch.frame.fresh()) PSF_METRIC_ADD("minimpi.payload_allocs", 1);
-    batch.used = sizeof(FrameHeader);
-    batch.first_append_vtime = timeline().now();
-    state.active.push_back(dest);
-  }
-
-  FrameSubHeader sub;
-  sub.tag = tag;
-  sub.bytes = static_cast<std::uint32_t>(payload.size());
-  World::MsgFaultState* faults = world_->msg_fault_state();
-  if (faults != nullptr) {
-    // CRC and sender sequence are assigned at APPEND, in send order, from
-    // the same per-rank counter as individual sends — the receiver's
-    // accept/purge/backstop protocol is agnostic to how messages traveled.
-    auto& mine = faults->per_rank[static_cast<std::size_t>(rank_)];
-    sub.crc = support::crc32(payload.bytes());
-    sub.send_seq = mine.next_send_seq++;
-  }
-  if (world_->coalesce_mode() == CoalesceMode::kPerSub) {
-    // Per-sub pricing: advance and price exactly like an individual send,
-    // so virtual times are bit-identical to the uncoalesced transport.
-    // (Under faults the arrival is recomputed at flush, when the frame's
-    // fate — and therefore the true departure time — is known.)
-    const double call_begin = timeline().now();
-    timeline().advance(world_->overheads_.mpi_call_s);
-    sub.arrival_vtime =
-        timeline().now() +
-        world_->network_.cost(static_cast<std::size_t>(
-            static_cast<double>(payload.size()) * world_->byte_scale_));
-    if (world_->trace_ != nullptr) {
-      sub.trace_span =
-          world_->trace_->record("send", "comm", rank_, timemodel::kNetLane,
-                                 call_begin, timeline().now());
-    }
-  }
-  std::memcpy(batch.frame.data() + batch.used, &sub, sizeof(sub));
-  batch.used += sizeof(sub);
-  if (!payload.empty()) {
-    std::memcpy(batch.frame.data() + batch.used, payload.data(),
-                payload.size());
-    batch.used += payload.size();
-  }
-  batch.count += 1;
-}
-
-void Communicator::coalesce_flush_dest(World::CoalesceState& state,
-                                       int dest) {
-  auto& batch = state.per_dest[static_cast<std::size_t>(dest)];
-  if (batch.count == 0) return;
-
-  const auto network_cost = [this](std::size_t bytes) {
-    return world_->network_.cost(static_cast<std::size_t>(
-        static_cast<double>(bytes) * world_->byte_scale_));
-  };
-  const bool aggregate =
-      world_->coalesce_mode() == CoalesceMode::kAggregate;
-  World::MsgFaultState* faults = world_->msg_fault_state();
-
-  FrameHeader header;
-  header.count = batch.count;
-  std::memcpy(batch.frame.data(), &header, sizeof(header));
-  const std::span<const std::byte> frame(batch.frame.data(), batch.used);
-
-  // Re-stamp the sub-headers for one delivery attempt. Aggregate pricing
-  // gives every sub the FRAME's arrival (one alpha + aggregate-bytes beta);
-  // per-sub pricing keeps the append-time arrivals bit-identical to
-  // individual sends unless faults moved the departure time.
-  const auto stamp = [&](double delay_s, bool dup, std::uint64_t span_id) {
-    const double frame_arrival =
-        timeline().now() + delay_s + network_cost(batch.used);
-    std::size_t offset = sizeof(FrameHeader);
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      FrameSubHeader sub;
-      std::memcpy(&sub, batch.frame.data() + offset, sizeof(sub));
-      if (aggregate) {
-        sub.arrival_vtime = frame_arrival;
-        sub.trace_span = span_id;
-      } else if (faults != nullptr) {
-        sub.arrival_vtime =
-            timeline().now() + delay_s + network_cost(sub.bytes);
-      }
-      sub.flags = dup ? kFrameSubDuplicate : 0u;
-      std::memcpy(batch.frame.data() + offset, &sub, sizeof(sub));
-      offset += sizeof(sub) + sub.bytes;
-    }
-  };
-
-  const double call_begin = timeline().now();
-  if (aggregate) {
-    // One MPI call for the whole frame: the time model prices the
-    // aggregate (the CrystalGPU-style task-aggregation optimization).
-    timeline().advance(world_->overheads_.mpi_call_s);
-  }
-
-  // The frame is the wire message, so the fault injector draws ONE fate
-  // per delivery attempt for the whole frame (mirroring deliver()).
-  int retries = 0;
-  double extra_delay = 0.0;
-  bool duplicate = false;
-  if (faults != nullptr) {
-    const fault::MsgFaultSpec& spec = faults->spec;
-    auto& mine = faults->per_rank[static_cast<std::size_t>(rank_)];
-    auto& log = fault::FaultLog::current();
-    const auto log_event = [&](const char* what) {
-      if (log.enabled()) {
-        log.record(rank_, std::string(what) +
-                              " dest=" + std::to_string(dest) +
-                              " frame_subs=" + std::to_string(batch.count));
-      }
-    };
-    for (;;) {
-      if (retries > spec.max_retries) {
-        throw std::runtime_error(
-            "minimpi: coalesced frame to rank " + std::to_string(dest) +
-            " exhausted " + std::to_string(spec.max_retries) +
-            " retransmissions under the fault plan");
-      }
-      const double draw = mine.rng.next_double();
-      double threshold = spec.p_drop;
-      if (draw < threshold) {
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_dropped", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("drop");
-        continue;
-      }
-      threshold += spec.p_corrupt;
-      if (draw < threshold) {
-        // The damaged frame reaches the receiver with EVERY sub corrupted
-        // (deposit_frame damages each payload under its original CRC), so
-        // each sub is CRC-rejected and the clean retransmission below is
-        // accepted sub-for-sub.
-        stamp(0.0, /*dup=*/false, 0);
-        mailbox(dest).deposit_frame(rank_, frame, /*corrupt=*/true);
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_corrupted", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("corrupt");
-        continue;
-      }
-      threshold += spec.p_dup;
-      if (draw < threshold) {
-        duplicate = true;
-        PSF_METRIC_ADD("minimpi.dup_deliveries", 1);
-        log_event("dup");
-        break;
-      }
-      threshold += spec.p_delay;
-      if (draw < threshold) {
-        extra_delay = spec.delay_s;
-        PSF_METRIC_ADD("minimpi.msgs_delayed", 1);
-        log_event("delay");
-        break;
-      }
-      break;
-    }
-    if (retries > 0) {
-      PSF_METRIC_ADD("fault.recoveries", 1);
-      if (world_->trace_ != nullptr) {
-        world_->trace_->record("msg retry", "fault", rank_,
-                               timemodel::kNetLane, call_begin,
-                               timeline().now());
-      }
-    }
-  }
-
-  std::uint64_t span_id = 0;
-  if (aggregate && world_->trace_ != nullptr) {
-    const double send_begin = retries > 0 ? timeline().now() : call_begin;
-    span_id =
-        world_->trace_->record("send", "comm", rank_, timemodel::kNetLane,
-                               send_begin, timeline().now());
-  }
-  stamp(extra_delay, duplicate, span_id);
-  mailbox(dest).deposit_frame(rank_, frame, /*corrupt=*/false);
-  PSF_METRIC_ADD("minimpi.frames_sent", 1);
-  PSF_METRIC_ADD("minimpi.msgs_coalesced", batch.count);
-  batch.frame.release();
-  batch.used = 0;
-  batch.count = 0;
-  std::erase(state.active, dest);
-}
-
-void Communicator::flush_coalesced() {
-  World::CoalesceState* state = world_->coalesce_slot(rank_);
-  if (state == nullptr) return;
-  // First-append order; coalesce_flush_dest removes the destination from
-  // `active`, so draining the front is both deterministic and
-  // allocation-free.
-  while (!state->active.empty()) {
-    coalesce_flush_dest(*state, state->active.front());
-  }
-}
-
 void Communicator::consume(const Message& message) {
   PSF_METRIC_ADD("minimpi.messages_received", 1);
   PSF_METRIC_ADD("minimpi.bytes_received", message.payload.size());
@@ -687,10 +408,6 @@ bool Communicator::accept_message(const Message& message) {
 }
 
 Message Communicator::retrieve_checked(int source, int tag) {
-  // Flush boundary: entering a blocking receive. ALL destinations flush,
-  // not just `source` — the awaited message may depend transitively on a
-  // third rank receiving our batched smalls first.
-  flush_coalesced();
   World::MsgFaultState* faults = world_->msg_fault_state();
   if (faults == nullptr) return mailbox(rank_).retrieve(source, tag);
   const int deadline_ms = faults->spec.deadline_ms;
@@ -743,7 +460,6 @@ Message Communicator::recv_any(int source, int tag) {
 
 support::StatusOr<MessageInfo> Communicator::recv_deadline(
     int source, int tag, std::span<std::byte> out, double timeout_s) {
-  flush_coalesced();
   for (;;) {
     Message message;
     if (!mailbox(rank_).retrieve_for(source, tag, timeout_s, message)) {
@@ -800,9 +516,6 @@ Request Communicator::irecv(int source, int tag, std::span<std::byte> out) {
 void Communicator::wait(Request& request) {
   PSF_CHECK_MSG(request.valid(), "wait() on an empty Request");
   PSF_METRIC_ADD("minimpi.waits", 1);
-  // Flush boundary: wait() completes outstanding non-blocking traffic, so
-  // batched isends must hit the wire here even for send-only requests.
-  flush_coalesced();
   if (request.kind_ == Request::Kind::kRecvPending) {
     request.info_ = recv(request.source_, request.tag_, request.out_);
   }
@@ -816,18 +529,12 @@ void Communicator::wait_all(std::span<Request> requests) {
 }
 
 bool Communicator::probe(int source, int tag) {
-  // Flush boundary: a rank probing for traffic may itself be the sender
-  // another rank's probe loop waits on (and self-sends must be visible).
-  flush_coalesced();
   return mailbox(rank_).probe(source, tag);
 }
 
 // --- collectives ------------------------------------------------------------
 
 void Communicator::barrier() {
-  // Flush boundary: traffic sent before a barrier must be deliverable to
-  // receivers on the far side of it.
-  flush_coalesced();
   PSF_METRIC_ADD("minimpi.barriers", 1);
   const double barrier_begin = timeline().now();
   auto& state = *world_->barrier_;

@@ -25,19 +25,6 @@ namespace psf::minimpi {
 
 class Communicator;
 
-/// How sender-side small-message coalescing prices the batched frame.
-///
-/// kPerSub keeps virtual times BIT-IDENTICAL to uncoalesced sends: every
-/// appended sub-message is priced exactly like an individual send (one
-/// mpi_call_s advance, its own network cost from the append-time clock);
-/// only the functional transport batches. kAggregate prices the frame as
-/// one wire message at flush time — one mpi_call_s for the whole frame,
-/// one alpha-beta network cost over the aggregate bytes shared by every
-/// sub — which is the paper-faithful "aggregate the tiny per-neighbor
-/// messages" optimization and strictly cheaper whenever a batch holds
-/// more than one message.
-enum class CoalesceMode { kOff, kPerSub, kAggregate };
-
 /// A cluster of `size` ranks living in one process. `run` launches one
 /// thread per rank executing `rank_main(comm)` SPMD-style, and joins them.
 /// Virtual time: every rank has a Timeline; the network LinkModel prices
@@ -90,23 +77,6 @@ class World {
   void set_byte_scale(double scale) noexcept { byte_scale_ = scale; }
   [[nodiscard]] double byte_scale() const noexcept { return byte_scale_; }
 
-  /// Enable sender-side small-message coalescing: payloads of at most
-  /// `threshold_bytes` batch per destination into one pooled frame
-  /// (capacity `max_frame_bytes`) instead of depositing individually, and
-  /// flush at the natural boundaries — before any potentially-blocking
-  /// receive/probe/wait/barrier, before a super-threshold send to the same
-  /// destination (MPI non-overtaking), when the frame fills, and at the end
-  /// of the rank main function. See CoalesceMode for pricing. Call before
-  /// run(); the `PSF_COALESCE` environment variable ("subs" / "aggregate" /
-  /// "off") is the no-code-change equivalent. Default off: transports with
-  /// per-message expectations (fault-injection unit tests) see the exact
-  /// pre-coalescing behavior.
-  void set_coalescing(CoalesceMode mode, std::size_t threshold_bytes = 4096,
-                      std::size_t max_frame_bytes = 65536);
-  [[nodiscard]] CoalesceMode coalesce_mode() const noexcept {
-    return coalesce_mode_;
-  }
-
   /// Install message-fault injection (drop/corrupt/duplicate/delay, see
   /// fault::MsgFaultSpec) on every send in this World. Thread-safe and
   /// idempotent — the first call wins; rank threads may race to install the
@@ -131,12 +101,8 @@ class World {
 
   struct BarrierState;
   struct MsgFaultState;
-  struct CoalesceState;
 
   [[nodiscard]] MsgFaultState* msg_fault_state() const noexcept;
-  /// The sending rank's coalescing slot, or nullptr when coalescing is off.
-  /// Each slot is touched only by its own rank's thread — no locking.
-  [[nodiscard]] CoalesceState* coalesce_slot(int rank) const noexcept;
 
   int size_;
   timemodel::LinkModel network_;
@@ -149,12 +115,6 @@ class World {
   /// Installed-once fault state; behind a heap holder so World stays
   /// movable (atomics are not). Owned: deleted in ~World.
   std::unique_ptr<std::atomic<MsgFaultState*>> msg_faults_;
-  CoalesceMode coalesce_mode_ = CoalesceMode::kOff;
-  std::size_t coalesce_threshold_ = 4096;
-  std::size_t coalesce_max_frame_ = 65536;
-  /// One per-destination batch table per rank (empty when coalescing is
-  /// off); slot r is private to rank r's thread.
-  std::vector<std::unique_ptr<CoalesceState>> coalesce_;
 };
 
 /// Handle for a pending non-blocking operation. Obtained from isend/irecv,
@@ -244,12 +204,6 @@ class Communicator {
 
   /// True if a matching message is already queued.
   [[nodiscard]] bool probe(int source, int tag);
-
-  /// Deposit every batched small message now (no-op when coalescing is
-  /// off). Called automatically at the flush boundaries listed on
-  /// World::set_coalescing; public so tests and long-running senders can
-  /// force a boundary.
-  void flush_coalesced();
 
   // --- typed convenience ----------------------------------------------------
 
@@ -346,15 +300,6 @@ class Communicator {
 
   void deliver(int dest, int tag, support::PooledBuffer payload);
   void consume(const Message& message);
-
-  /// Append a sub-threshold payload to the destination's frame (coalescing
-  /// enabled). Under CoalesceMode::kPerSub the message is priced here,
-  /// identically to an individual send.
-  void coalesce_append(World::CoalesceState& state, int dest, int tag,
-                       support::PooledBuffer payload);
-  /// Price (kAggregate), apply the frame-level fault fate and deposit the
-  /// destination's batch, if any.
-  void coalesce_flush_dest(World::CoalesceState& state, int dest);
 
   /// retrieve() plus the fault-era receiver protocol: wall-clock deadline
   /// (when the plan arms one), CRC verification, and duplicate purging.

@@ -34,12 +34,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -81,36 +79,6 @@ struct Message {
   /// receiver dedups duplicated deliveries by it. 0 means "no injection".
   std::uint64_t send_seq = 0;
 };
-
-/// Wire format of a coalesced small-message frame (sender-side batching,
-/// see Communicator). A frame is one pooled buffer holding
-///
-///   [FrameHeader][FrameSubHeader][payload]...[FrameSubHeader][payload]
-///
-/// Sub-messages are packed back-to-back in send order; headers are written
-/// and read with memcpy, so no alignment is required inside the frame. The
-/// receiver-side unpack (`Mailbox::deposit_frame`) turns every sub back
-/// into an individual Message, preserving per-(source, tag) FIFO order and
-/// assigning consecutive deposit sequence numbers so wildcard matching sees
-/// the same earliest-first order as individual deposits.
-struct FrameHeader {
-  std::uint32_t count = 0;     ///< number of sub-messages in the frame
-  std::uint32_t reserved = 0;  ///< keeps the payload area 8-byte offset
-};
-
-struct FrameSubHeader {
-  std::uint64_t send_seq = 0;   ///< sender fault-era sequence (0 = none)
-  std::uint64_t trace_span = 0; ///< send span id (0 = tracing off)
-  double arrival_vtime = 0.0;   ///< priced arrival at the receiver
-  std::int32_t tag = 0;
-  std::uint32_t bytes = 0;      ///< payload bytes following this header
-  std::uint32_t crc = 0;        ///< CRC-32 under fault injection (0 = none)
-  std::uint32_t flags = 0;      ///< kFrameSubDuplicate
-};
-
-/// flags bit: deposit a second, byte-identical copy right behind the sub
-/// (the fault injector's duplicate-delivery fate, applied frame-wide).
-inline constexpr std::uint32_t kFrameSubDuplicate = 1u << 0;
 
 /// Debug builds enforce the single-consumer contract instead of silently
 /// relying on it: at most one thread may block in retrieve/retrieve_for on
@@ -172,93 +140,6 @@ class Mailbox {
       queue.push_back(std::move(first));
       queue.push_back(std::move(second));
       shard.pending += 2;
-    }
-    {
-      std::lock_guard<std::mutex> guard(wait_mutex_);
-      version_ += 1;
-    }
-    cv_.notify_one();
-  }
-
-  /// Receiver-side unpack of a coalesced frame (see FrameHeader): every
-  /// sub-message becomes an individual queue entry with its own pooled
-  /// payload, deposited under ONE shard lock (all subs share `source`, so
-  /// they share a shard) with ONE wakeup — that single lock/notify per
-  /// frame, instead of per message, is the receiving half of the
-  /// coalescing win. Sub order is preserved and sequence numbers are
-  /// assigned in sub order, so per-(source, tag) FIFO and wildcard
-  /// earliest-deposit semantics match individual deposits exactly.
-  ///
-  /// `corrupt` delivers the fault injector's damaged copy of the frame:
-  /// every sub keeps its original CRC but its payload is damaged (first
-  /// byte flipped; empty payloads flip the CRC instead), so the receiver
-  /// rejects each sub and the later clean retransmission is accepted —
-  /// corrupting only part of the frame could let a stale retransmitted sub
-  /// slip past the per-(source, tag) dedup backstop.
-  void deposit_frame(int source, std::span<const std::byte> frame,
-                     bool corrupt = false) {
-    FrameHeader header;
-    PSF_CHECK_MSG(frame.size() >= sizeof(header), "coalesced frame truncated");
-    std::memcpy(&header, frame.data(), sizeof(header));
-    std::vector<Message> staged;
-    staged.reserve(header.count * 2);
-    std::size_t offset = sizeof(header);
-    for (std::uint32_t i = 0; i < header.count; ++i) {
-      FrameSubHeader sub;
-      PSF_CHECK_MSG(offset + sizeof(sub) <= frame.size(),
-                    "coalesced frame sub-header out of bounds");
-      std::memcpy(&sub, frame.data() + offset, sizeof(sub));
-      offset += sizeof(sub);
-      PSF_CHECK_MSG(offset + sub.bytes <= frame.size(),
-                    "coalesced frame payload out of bounds");
-      Message message;
-      message.source = source;
-      message.tag = sub.tag;
-      message.arrival_vtime = sub.arrival_vtime;
-      message.trace_span = sub.trace_span;
-      message.crc = sub.crc;
-      message.send_seq = sub.send_seq;
-      message.payload = support::BufferPool::global().acquire(sub.bytes);
-      if (sub.bytes > 0) {
-        std::memcpy(message.payload.data(), frame.data() + offset, sub.bytes);
-        if (corrupt) message.payload.data()[0] ^= std::byte{0xFF};
-      } else if (corrupt) {
-        message.crc = ~message.crc;
-      }
-      offset += sub.bytes;
-      const bool duplicate = (sub.flags & kFrameSubDuplicate) != 0;
-      if (duplicate) {
-        Message copy;
-        copy.source = message.source;
-        copy.tag = message.tag;
-        copy.arrival_vtime = message.arrival_vtime;
-        copy.trace_span = message.trace_span;
-        copy.crc = message.crc;
-        copy.send_seq = message.send_seq;
-        copy.payload =
-            support::BufferPool::global().acquire(message.payload.size());
-        if (!message.payload.empty()) {
-          std::memcpy(copy.payload.data(), message.payload.data(),
-                      message.payload.size());
-        }
-        staged.push_back(std::move(message));
-        staged.push_back(std::move(copy));
-      } else {
-        staged.push_back(std::move(message));
-      }
-    }
-    if (staged.empty()) return;
-    for (Message& message : staged) {
-      message.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Shard& shard = shard_for(source);
-    {
-      std::lock_guard<std::mutex> guard(shard.mutex);
-      for (Message& message : staged) {
-        shard.queues[Key{message.source, message.tag}].push_back(
-            std::move(message));
-      }
-      shard.pending += staged.size();
     }
     {
       std::lock_guard<std::mutex> guard(wait_mutex_);

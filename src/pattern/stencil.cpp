@@ -15,7 +15,6 @@
 #include "pattern/runtime_env.h"
 #include "support/log.h"
 #include "support/metrics.h"
-#include "support/simd.h"
 #include "telemetry/prof.h"
 #include "timemodel/timeline.h"
 
@@ -72,6 +71,70 @@ support::Status StencilRuntime::validate() const {
         "stencil: halo width must be >= 1");
   }
   return support::Status::ok();
+}
+
+template <typename Fn>
+void StencilRuntime::for_each_run(std::size_t row_begin, std::size_t row_end,
+                                  Fn&& fn) const {
+  if (row_begin >= row_end) return;
+  // Padded-coordinate box of interior rows [row_begin, row_end).
+  std::array<int, kMaxDims> lo{};
+  std::array<int, kMaxDims> hi{};
+  for (std::size_t d = 0; d < kMaxDims; ++d) {
+    lo[d] = halo3_[d];
+    hi[d] = halo3_[d] + static_cast<int>(ext3_[d]);
+  }
+  lo[0] += static_cast<int>(row_begin);
+  hi[0] = halo3_[0] + static_cast<int>(row_end);
+  // Per-dimension classes: `fixed` within halo_ of a non-periodic global
+  // border (copied through), `band` within halo_ of a face that has a
+  // neighbor rank (reads halo data).
+  const auto fixed_at = [&](int d, long long c) {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const long long g = static_cast<long long>(goff3_[dd]) + c - halo3_[dd];
+    return !wrap_[dd] &&
+           (g < halo_ ||
+            g >= static_cast<long long>(global_dims_[dd]) - halo_);
+  };
+  const auto band_at = [&](int d, long long c) {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    return (neighbor_lo_[dd] != minimpi::kNoNeighbor && c < 2 * halo3_[dd]) ||
+           (neighbor_hi_[dd] != minimpi::kNoNeighbor &&
+            c >= static_cast<long long>(ext3_[dd]));
+  };
+  // Runs go along the innermost user dimension k, where a cell's class can
+  // change only at the two fixed-border and the two halo-band edges.
+  const int k = ndims_ - 1;
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const long long g0 = static_cast<long long>(goff3_[kk]) - halo3_[kk];
+  std::array<long long, 6> cuts = {
+      lo[kk], hi[kk], halo_ - g0,
+      static_cast<long long>(global_dims_[kk]) - halo_ - g0, 2 * halo3_[kk],
+      static_cast<long long>(ext3_[kk])};
+  for (long long& cut : cuts) cut = std::clamp<long long>(cut, lo[kk], hi[kk]);
+  std::sort(cuts.begin(), cuts.end());
+  std::array<int, kMaxDims> end = hi;
+  end[kk] = lo[kk] + 1;
+  std::array<int, kMaxDims> c{};
+  for (c[0] = lo[0]; c[0] < end[0]; ++c[0]) {
+    for (c[1] = lo[1]; c[1] < end[1]; ++c[1]) {
+      for (c[2] = lo[2]; c[2] < end[2]; ++c[2]) {
+        bool fixed = false;
+        bool band = false;
+        for (int d = 0; d < k; ++d) {
+          fixed = fixed || fixed_at(d, c[static_cast<std::size_t>(d)]);
+          band = band || band_at(d, c[static_cast<std::size_t>(d)]);
+        }
+        std::array<int, kMaxDims> start = c;
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+          if (cuts[i] == cuts[i + 1]) continue;
+          start[kk] = static_cast<int>(cuts[i]);
+          fn(start, static_cast<int>(cuts[i + 1] - cuts[i]),
+             fixed || fixed_at(k, cuts[i]), band || band_at(k, cuts[i]));
+        }
+      }
+    }
+  }
 }
 
 void StencilRuntime::setup() {
@@ -201,26 +264,15 @@ void StencilRuntime::setup() {
     }
   }
 
-  // Count cell classes once (geometry is fixed between repartitions).
+  // Count cell classes once (geometry is fixed between repartitions). The
+  // pricing split places a fixed cell by its halo band alone.
   stats_.inner_cells = 0;
   stats_.boundary_cells = 0;
-  for (std::size_t c0 = static_cast<std::size_t>(halo3_[0]);
-       c0 < static_cast<std::size_t>(halo3_[0]) + ext3_[0]; ++c0) {
-    for (std::size_t c1 = static_cast<std::size_t>(halo3_[1]);
-         c1 < static_cast<std::size_t>(halo3_[1]) + ext3_[1]; ++c1) {
-      for (std::size_t c2 = static_cast<std::size_t>(halo3_[2]);
-           c2 < static_cast<std::size_t>(halo3_[2]) + ext3_[2]; ++c2) {
-        const std::array<int, kMaxDims> c = {static_cast<int>(c0),
-                                             static_cast<int>(c1),
-                                             static_cast<int>(c2)};
-        if (is_boundary_cell(c)) {
-          ++stats_.boundary_cells;
-        } else {
-          ++stats_.inner_cells;
-        }
-      }
-    }
-  }
+  for_each_run(0, ext3_[0],
+               [&](std::array<int, kMaxDims>, int count, bool, bool band) {
+                 (band ? stats_.boundary_cells : stats_.inner_cells) +=
+                     static_cast<std::size_t>(count);
+               });
 
   PSF_LOG(kDebug, "stencil")
       << "rank " << comm.rank() << ": sub-grid " << ext3_[0] << "x"
@@ -228,20 +280,6 @@ void StencilRuntime::setup() {
       << goff3_[1] << "," << goff3_[2] << "), " << stats_.inner_cells
       << " inner / " << stats_.boundary_cells << " boundary cells";
   ready_ = true;
-}
-
-bool StencilRuntime::is_boundary_cell(
-    const std::array<int, kMaxDims>& c) const noexcept {
-  for (int d = 0; d < ndims_; ++d) {
-    const std::size_t dd = static_cast<std::size_t>(d);
-    const int h = halo3_[dd];
-    if (neighbor_lo_[dd] != minimpi::kNoNeighbor && c[d] < 2 * h) return true;
-    if (neighbor_hi_[dd] != minimpi::kNoNeighbor &&
-        c[d] >= static_cast<int>(ext3_[dd])) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void StencilRuntime::pack_box(const std::array<int, kMaxDims>& lo,
@@ -425,13 +463,6 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
   const std::byte* in = old_grid;
   std::byte* out = new_grid;
 
-  // Row-vectorized dispatch (support/simd.h): batch maximal memory-
-  // contiguous runs of stencil cells into one row_fn_ call. Only for pure
-  // sweep passes — the fused emit hook reads each output cell right after
-  // the scalar call writes it, so emitting passes keep the per-cell path.
-  const bool use_rows = apply_stencil && emit == nullptr &&
-                        row_fn_ != nullptr && support::simd::enabled();
-
   const auto body = [&](const devsim::BlockContext& ctx) {
     // A fresh staging object per block launch keeps host replay after a
     // device loss idempotent (the sink resets the slot on fetch).
@@ -439,86 +470,38 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
         (emit != nullptr && sink != nullptr)
             ? sink->block_object(device_index, ctx.block_id, want_inner)
             : nullptr;
-    int offset_user[kMaxDims] = {0, 0, 0};
     int size_user[kMaxDims] = {0, 0, 0};
     for (int d = 0; d < ndims_; ++d) {
       size_user[d] = static_cast<int>(padded_[static_cast<std::size_t>(d)]);
     }
-    int run_offset[kMaxDims] = {0, 0, 0};
-    int run_count = 0;
-    std::size_t run_next = 0;  ///< padded index the next run cell must have
-    const auto flush_run = [&] {
-      if (run_count == 0) return;
-      row_fn_(in, out, run_offset, size_user, run_count, parameter_);
-      run_count = 0;
-    };
-    for (std::size_t row = row_begin + split.begin(ctx.block_id);
-         row < row_begin + split.end(ctx.block_id); ++row) {
-      const int c0 = static_cast<int>(row) + halo3_[0];
-      for (int c1 = halo3_[1]; c1 < static_cast<int>(ext3_[1]) + halo3_[1];
-           ++c1) {
-        for (int c2 = halo3_[2]; c2 < static_cast<int>(ext3_[2]) + halo3_[2];
-             ++c2) {
-          const std::array<int, kMaxDims> c = {c0, c1, c2};
-          // Fixed global border: copy through on the boundary pass.
-          // Periodic dimensions wrap instead and have no fixed cells.
-          bool fixed = false;
-          for (int d = 0; d < ndims_; ++d) {
-            const std::size_t dd = static_cast<std::size_t>(d);
-            if (wrap_[dd]) continue;
-            const long long g = static_cast<long long>(goff3_[dd]) + c[d] -
-                                halo3_[dd];
-            if (g < halo_ ||
-                g >= static_cast<long long>(global_dims_[dd]) - halo_) {
-              fixed = true;
-              break;
-            }
-          }
-          if (fixed) {
-            // Fixed cells belong to the boundary pass (skip on inner).
-            if (want_inner) continue;
-            if (apply_stencil) {
-              std::memcpy(out + padded_index(c) * elem_bytes_,
-                          in + padded_index(c) * elem_bytes_, elem_bytes_);
-            }
-          } else {
-            if (is_boundary_cell(c) == want_inner) continue;
-            offset_user[0] = c[0];
-            if (ndims_ >= 2) offset_user[1] = c[1];
-            if (ndims_ >= 3) offset_user[2] = c[2];
-            if (apply_stencil) {
-              if (use_rows) {
-                // Extend the current run while cells stay contiguous in the
-                // padded grid (fixed/skipped cells and the halo gap between
-                // user rows both break contiguity and flush).
-                const std::size_t idx = padded_index(c);
-                if (run_count > 0 && idx == run_next) {
-                  ++run_count;
-                  ++run_next;
-                } else {
-                  flush_run();
-                  run_offset[0] = offset_user[0];
-                  run_offset[1] = offset_user[1];
-                  run_offset[2] = offset_user[2];
-                  run_count = 1;
-                  run_next = idx + 1;
-                }
-              } else {
-                stencil_(in, out, offset_user, size_user, parameter_);
+    const std::size_t k = static_cast<std::size_t>(ndims_ - 1);
+    for_each_run(
+        row_begin + split.begin(ctx.block_id),
+        row_begin + split.end(ctx.block_id),
+        [&](std::array<int, kMaxDims> cell, int count, bool fixed, bool band) {
+          // Fixed global border and halo-band cells form the boundary pass.
+          if ((fixed || band) == want_inner) return;
+          if (apply_stencil) {
+            if (fixed) {
+              const std::size_t at = padded_index(cell) * elem_bytes_;
+              std::memcpy(out + at, in + at,
+                          static_cast<std::size_t>(count) * elem_bytes_);
+            } else if (row_fn_ != nullptr) {
+              row_fn_(in, out, cell.data(), size_user, count, parameter_);
+            } else {
+              std::array<int, kMaxDims> c = cell;
+              for (int i = 0; i < count; ++i, ++c[k]) {
+                stencil_(in, out, c.data(), size_user, parameter_);
               }
             }
           }
-          if (staged != nullptr) {
-            offset_user[0] = c[0];
-            if (ndims_ >= 2) offset_user[1] = c[1];
-            if (ndims_ >= 3) offset_user[2] = c[2];
-            emit(staged, old_grid, new_grid, offset_user, size_user,
+          // An emit reads only its own cell, so it may follow the whole run.
+          if (staged == nullptr) return;
+          for (int i = 0; i < count; ++i, ++cell[k]) {
+            emit(staged, old_grid, new_grid, cell.data(), size_user,
                  emit_parameter);
           }
-        }
-      }
-    }
-    flush_run();
+        });
   };
   device.run_blocks(blocks, 0, body);
   if (device.lost()) {

@@ -40,12 +40,12 @@ class ReductionObject;
 using StencilFn = void (*)(const void* input, void* output, const int* offset,
                            const int* size, const void* parameter);
 
-/// Optional row-vectorized companion to StencilFn (SIMD host-kernel
-/// dispatch, support/simd.h): computes `count` output elements starting at
-/// `offset`, consecutive along the innermost user dimension and contiguous
-/// in padded-grid memory. Must write bytes identical to `count` scalar
-/// StencilFn calls — the runtime may pick either at any time, and tests
-/// byte-compare the two paths (docs/PERFORMANCE.md).
+/// Optional row-vectorized companion to StencilFn (SIMD host kernels,
+/// support/simd.h): computes `count` output elements starting at `offset`,
+/// consecutive along the innermost user dimension and contiguous in
+/// padded-grid memory. Must write bytes identical to `count` scalar
+/// StencilFn calls — tests byte-compare the two paths
+/// (docs/PERFORMANCE.md).
 using StencilRowFn = void (*)(const void* input, void* output,
                               const int* offset, const int* size, int count,
                               const void* parameter);
@@ -89,10 +89,9 @@ class StencilRuntime {
       "facades in pattern/compose.h")
   void set_stencil_func(StencilFn fn) { stencil_ = fn; }
 
-  /// Register a row-vectorized variant of the stencil function. Dispatch is
-  /// gated on support::simd::enabled() (build option PSF_SIMD + env var
-  /// PSF_SIMD); without it — or on passes that stage per-cell emits — the
-  /// runtime falls back to the scalar per-cell function.
+  /// Register a row-vectorized variant of the stencil function. Once
+  /// registered it computes every run of stencil cells, fused emitting
+  /// passes included; the scalar function is then never called.
   void set_row_func(StencilRowFn fn) { row_fn_ = fn; }
 
   /// Global grid: `ndims` extents (outermost first), elements of
@@ -236,9 +235,8 @@ class StencilRuntime {
   /// Null when the device mix has no accelerator.
   devsim::StreamPipeline* halo_pipeline();
 
-  /// Apply the stencil to all cells in rows [row_begin, row_end) of dim 0,
-  /// where each cell is classified inner/boundary; `want_inner` selects
-  /// which class to compute this pass.
+  /// Apply the stencil to all cells in rows [row_begin, row_end) of dim 0
+  /// of one class; `want_inner` selects which class to compute this pass.
   void compute_rows(int device_index, std::size_t row_begin,
                     std::size_t row_end, bool want_inner);
 
@@ -250,10 +248,14 @@ class StencilRuntime {
                  const void* emit_parameter, StencilEmitSink* sink,
                  const std::byte* old_grid, std::byte* new_grid);
 
-  /// True if the cell needs halo data (lies within `halo_` of a face that
-  /// has a neighbor rank).
-  [[nodiscard]] bool is_boundary_cell(const std::array<int, kMaxDims>& c)
-      const noexcept;
+  /// Enumerate interior rows [row_begin, row_end) of dim 0 as runs along the
+  /// innermost user dimension (in 1-D, dim 0 itself), in ascending cell
+  /// order, each classified once: `fn(start, count, fixed, band)`, where
+  /// `fixed` cells lie on the fixed global border and `band` cells need
+  /// halo data.
+  template <typename Fn>
+  void for_each_run(std::size_t row_begin, std::size_t row_end,
+                    Fn&& fn) const;
 
   /// After a device loss: re-split the interior rows over the survivors
   /// (lost devices get zero rows from the next sweep on). The row split is

@@ -441,7 +441,10 @@ void Server::runner_loop() {
           continue;  // promote_due drained backoff_; re-evaluate
         }
         if (started_ && !backoff_.empty()) {
-          dispatch_cv_.wait_until(lock, backoff_.begin()->first.first);
+          // Copy the deadline: wait_until re-reads it after waking, and
+          // another runner may erase that backoff_ node meanwhile.
+          const auto deadline = backoff_.begin()->first.first;
+          dispatch_cv_.wait_until(lock, deadline);
         } else {
           dispatch_cv_.wait(lock);
         }

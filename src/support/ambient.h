@@ -42,18 +42,19 @@ enum class Slot : std::size_t {
 inline constexpr std::size_t kNumSlots = 4;
 
 namespace detail {
-extern thread_local std::array<void*, kNumSlots> tls_slots;
+/// The calling thread's slots (defined out of line, see ambient.cpp).
+[[nodiscard]] std::array<void*, kNumSlots>& tls_slots() noexcept;
 }  // namespace detail
 
 /// The calling thread's value for `slot`; nullptr = no override installed.
 [[nodiscard]] inline void* get(Slot slot) noexcept {
-  return detail::tls_slots[static_cast<std::size_t>(slot)];
+  return detail::tls_slots()[static_cast<std::size_t>(slot)];
 }
 
 /// Install `value` in `slot` on the calling thread; returns the previous
 /// value so scoped guards can restore it (overrides nest).
 inline void* swap(Slot slot, void* value) noexcept {
-  void*& entry = detail::tls_slots[static_cast<std::size_t>(slot)];
+  void*& entry = detail::tls_slots()[static_cast<std::size_t>(slot)];
   void* previous = entry;
   entry = value;
   return previous;
@@ -80,7 +81,7 @@ class Snapshot {
   /// Snapshot of the calling thread's slots.
   [[nodiscard]] static Snapshot capture() noexcept {
     Snapshot snapshot;
-    snapshot.values_ = detail::tls_slots;
+    snapshot.values_ = detail::tls_slots();
     return snapshot;
   }
 
@@ -88,8 +89,9 @@ class Snapshot {
   /// displaced state for restoration.
   Snapshot install() const noexcept {
     Snapshot previous;
-    previous.values_ = detail::tls_slots;
-    detail::tls_slots = values_;
+    auto& slots = detail::tls_slots();
+    previous.values_ = slots;
+    slots = values_;
     return previous;
   }
 

@@ -1,30 +1,20 @@
 // PSF — Pattern Specification Framework
-// SIMD dispatch for host kernels.
+// Vectorization hint for host row kernels.
 //
-// Hot per-cell kernels (stencil rows) can register a vectorized row variant
-// that processes a contiguous run of cells per call. Whether the runtime
-// dispatches to it is decided in two layers:
-//
-//   compile time  -DPSF_SIMD=ON (default) defines PSF_SIMD_ENABLED and arms
-//                 the PSF_SIMD_LOOP vectorization pragma; OFF builds compile
-//                 the same row kernels as plain scalar loops.
-//   run time      the PSF_SIMD environment variable ("0"/"off" disables)
-//                 gates dispatch, so one binary can demonstrate both paths.
+// Hot per-cell kernels (stencil rows) can register a row variant that
+// processes a contiguous run of cells per call; the stencil runtime calls it
+// for every run whenever one is registered (StencilRuntime::set_row_func).
 //
 // The contract for row kernels (docs/PERFORMANCE.md "SIMD host kernels"):
 // each cell's arithmetic must be expression-for-expression identical to the
 // scalar per-cell kernel — lane-parallel vectorization of independent cells
 // is bit-exact (no reassociation, no FMA contraction beyond what the scalar
-// build already does, no fast-math), so results are byte-identical whether
-// dispatch is on or off, at every executor width. Tests enforce this.
+// build already does, no fast-math), so results are byte-identical to the
+// scalar kernel at every executor width. Tests enforce this.
 #pragma once
-
-#include <cstdlib>
-#include <cstring>
 
 /// Vectorization hint for the innermost run loop of a row kernel. The loop
 /// body must be lane-independent (each iteration writes only its own cell).
-#if defined(PSF_SIMD_ENABLED)
 #if defined(__clang__)
 #define PSF_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)
@@ -32,32 +22,3 @@
 #else
 #define PSF_SIMD_LOOP
 #endif
-#else
-#define PSF_SIMD_LOOP
-#endif
-
-namespace psf::support::simd {
-
-/// True when the binary was built with -DPSF_SIMD=ON.
-[[nodiscard]] constexpr bool compiled() noexcept {
-#if defined(PSF_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Runtime dispatch decision: compiled in AND not disabled via the PSF_SIMD
-/// environment variable ("0" or "off"). Evaluated once per process.
-[[nodiscard]] inline bool enabled() noexcept {
-  static const bool value = [] {
-    if (!compiled()) return false;
-    const char* env = std::getenv("PSF_SIMD");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-           std::strcmp(env, "OFF") != 0;
-  }();
-  return value;
-}
-
-}  // namespace psf::support::simd

@@ -14,6 +14,8 @@
 #include "baselines/mpi_minimd.h"
 #include "baselines/mpi_sobel.h"
 #include "support/loc.h"
+#include "timemodel/link.h"
+#include "timemodel/rates.h"
 
 namespace psf::baselines {
 namespace {
@@ -116,6 +118,39 @@ TEST_P(MpiBaselineRanks, MinimdMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, MpiBaselineRanks,
                          ::testing::Values(1, 2, 4, 6));
+
+// Ghost blocks reach a rank in whatever order the rank threads run. The
+// receive side prices each arrival as it consumes it, so the vtime of Fig.
+// 5's MiniMD MPI column must not depend on that order.
+TEST(MpiBaselineDeterminism, MinimdVtimeRepeatsExactly) {
+  apps::minimd::Params params;
+  params.num_atoms = 512;
+  params.iterations = 6;
+  params.rebuild_every = 3;
+  for (const int ranks : {4, 6}) {
+    std::vector<double> first;
+    for (int repeat = 0; repeat < 8; ++repeat) {
+      auto atoms = apps::minimd::generate_atoms(params);
+      minimpi::World world(ranks, timemodel::LinkModel::infiniband(),
+                           timemodel::testbed_preset().overheads);
+      world.set_byte_scale(1000.0);
+      std::vector<double> vtimes(static_cast<std::size_t>(ranks), 0.0);
+      world.run([&](minimpi::Communicator& comm) {
+        vtimes[static_cast<std::size_t>(comm.rank())] =
+            mpi_minimd::run(comm, params, atoms, /*workload_scale=*/1000.0)
+                .vtime;
+      });
+      if (repeat == 0) {
+        first = vtimes;
+        continue;
+      }
+      for (std::size_t r = 0; r < vtimes.size(); ++r) {
+        ASSERT_EQ(vtimes[r], first[r])
+            << ranks << " ranks, rank " << r << ", repeat " << repeat;
+      }
+    }
+  }
+}
 
 TEST(CudaBaselines, KmeansMatchesSequential) {
   apps::kmeans::Params params;
