@@ -321,13 +321,11 @@ int main(int argc, char** argv) {
         });
       }
     }
-    // Hot-path variants: halo-exchange overlap plus the double-buffered
-    // device stream pipeline vs fully serial exchange. Fields are
-    // bit-identical either way; CI pins heat3d_overlap strictly below
-    // heat3d_nooverlap (compare_bench --assert-faster). The pair starts at
-    // two nodes (a single rank has no neighbor exchange to overlap) and
-    // stays on the heterogeneous mix, where the stream pipeline has copy
-    // engines to ping-pong.
+    // Hot-path variants: halo-exchange overlap vs fully serial exchange.
+    // Fields are bit-identical either way; CI pins heat3d_overlap strictly
+    // below heat3d_nooverlap (compare_bench --assert-faster). The pair
+    // starts at two nodes (a single rank has no neighbor exchange to
+    // overlap) and stays on the heterogeneous mix.
     std::vector<int> multi_nodes;
     for (int nodes : node_counts) {
       if (nodes >= 2) multi_nodes.push_back(nodes);
@@ -338,7 +336,6 @@ int main(int argc, char** argv) {
                          const psf::pattern::EnvOptions& options) {
         auto opts = options;
         opts.overlap = overlap;
-        opts.stream_pipeline = overlap;
         return psf::apps::heat3d::run_framework(comm, opts, workload->params,
                                                 workload->field)
             .vtime;

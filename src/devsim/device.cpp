@@ -282,76 +282,7 @@ void Stream::charge(double seconds) {
 #endif
 }
 
-std::uint64_t Stream::charge_h2d(std::size_t bytes) {
-  const double op_begin = begin();
-  lane_ += device_->descriptor().h2d_link.cost(bytes);
-#ifndef PSF_DISABLE_METRICS
-  device_->metric_h2d_bytes_->add(bytes);
-#endif
-  return trace_op("h2d copy", "copy", op_begin, lane_);
-}
-
-std::uint64_t Stream::charge_kernel(double seconds, const char* name) {
-  PSF_CHECK(seconds >= 0.0);
-  const double op_begin = begin();
-  lane_ += seconds;
-#ifndef PSF_DISABLE_METRICS
-  device_->metric_kernel_launches_->add(1);
-  device_->metric_busy_vtime_->observe(seconds);
-#endif
-  const auto span = trace_op(name, "compute", op_begin, lane_);
-  if (span != 0) {
-    for (const auto copy : pending_copy_spans_) {
-      device_->trace_->record_edge(copy, span, "stream");
-    }
-    pending_copy_spans_.clear();
-  }
-  return span;
-}
-
 void Stream::synchronize() { host_->merge(lane_); }
-
-// --- StreamPipeline ---------------------------------------------------------
-
-double StreamPipeline::step(std::size_t bytes, double compute_s,
-                            const char* kernel_name) {
-  // The copy reuses staging slot `slot_`: it cannot start before the kernel
-  // that last consumed this slot released the buffer.
-  if (slot_free_[slot_].recorded()) copy_->wait(slot_free_[slot_]);
-  const double copy_begin =
-      std::max(copy_->lane_time(), copy_->host_now());
-  const std::uint64_t copy_span = copy_->charge_h2d(bytes);
-  const double copy_end = copy_->lane_time();
-  copy_->record(copy_done_[slot_]);
-
-  // Overlap accounting: the part of this copy that executed while the
-  // PREVIOUS stage's kernel was running is time a serial schedule would
-  // have spent idle on the copy engine.
-  if (have_prev_kernel_) {
-    const double overlap = std::min(copy_end, prev_kernel_end_) -
-                           std::max(copy_begin, prev_kernel_begin_);
-    if (overlap > 0.0) {
-      overlap_vtime_ += overlap;
-      PSF_METRIC_OBSERVE("devsim.copy_overlap_vtime", overlap);
-    }
-  }
-
-  compute_->wait(copy_done_[slot_]);
-  const double kernel_begin =
-      std::max(compute_->lane_time(), compute_->host_now());
-  const std::uint64_t kernel_span =
-      compute_->charge_kernel(compute_s, kernel_name);
-  compute_->record(slot_free_[slot_]);
-  if (copy_span != 0 && kernel_span != 0) {
-    // Cross-stream edge: the kernel consumes the bytes this copy staged.
-    compute_->device().trace_->record_edge(copy_span, kernel_span, "stream");
-  }
-  prev_kernel_begin_ = kernel_begin;
-  prev_kernel_end_ = compute_->lane_time();
-  have_prev_kernel_ = true;
-  slot_ ^= 1;
-  return prev_kernel_end_;
-}
 
 // --- node factory -----------------------------------------------------------
 

@@ -275,7 +275,6 @@ class Device {
  private:
   friend class DeviceBuffer;
   friend class Stream;
-  friend class StreamPipeline;
 
   /// The shared launch machinery behind run_blocks and host_replay.
   void run_blocks_impl(int num_blocks, std::size_t shared_bytes,
@@ -361,19 +360,6 @@ class Stream {
   /// (used when the runtime prices a composite operation itself).
   void charge(double seconds);
 
-  /// Pricing-only H2D transfer: advance the lane by the PCIe cost of
-  /// `bytes`, count them, and record an "h2d copy" span. No functional copy
-  /// happens (the caller's data is already host-resident in the simulator).
-  /// Returns the trace span id (0 when tracing is off). Unlike copy_h2d the
-  /// span is NOT queued for this stream's next launch — the caller wires
-  /// the copy -> kernel edge itself (StreamPipeline does, across streams).
-  std::uint64_t charge_h2d(std::size_t bytes);
-
-  /// Pricing-only kernel: advance the lane by an already-priced `seconds`,
-  /// count a launch, and record a compute span named `name`. Returns the
-  /// span id (0 when tracing is off).
-  std::uint64_t charge_kernel(double seconds, const char* name = "kernel");
-
   /// Record the stream's current position into `event` (cudaEventRecord).
   void record(Event& event) {
     event.timestamp_ = lane_;
@@ -391,9 +377,6 @@ class Stream {
   void synchronize();
 
   [[nodiscard]] double lane_time() const noexcept { return lane_; }
-  /// The controlling host timeline's current time (enqueue lower bound).
-  [[nodiscard]] double host_now() const noexcept { return host_->now(); }
-  [[nodiscard]] Device& device() noexcept { return *device_; }
 
  private:
   /// Async ops begin no earlier than their enqueue time on the host.
@@ -410,73 +393,6 @@ class Stream {
   /// Copy spans since the last kernel launch — each becomes a copy ->
   /// kernel "stream" edge when the next launch records.
   std::vector<std::uint64_t> pending_copy_spans_;
-};
-
-/// Double-buffered copy/compute pipeline over two streams (the paper's
-/// two-pinned-blocks-per-chunk GPU execution, III-D; CUDA's canonical
-/// ping-pong staging). Stage k's H2D copy lands in staging slot k % 2, so
-/// it can start as soon as the kernel that consumed that slot two stages
-/// ago finished — the copy of stage k+1 overlaps the kernel of stage k.
-///
-/// Pricing-only: step() advances the device's copy and compute stream lanes
-/// (charge_h2d / charge_kernel) and records the copy -> kernel "stream"
-/// dependency edge, so psf-analyze sees the transfer/compute pipeline and
-/// the reclaimed idle time. The copy time that executes concurrently with
-/// kernel execution accumulates into the "devsim.copy_overlap_vtime" timer.
-/// Functional work stays wherever the caller runs it (run_blocks).
-///
-/// Streams `copy_stream`/`compute_stream` of the device are used in-order;
-/// the pipeline may be re-entered across iterations (lanes are monotonic
-/// and begin() never lets an op start before host time).
-class StreamPipeline {
- public:
-  explicit StreamPipeline(Device& device, int copy_stream = 0,
-                          int compute_stream = 1)
-      : copy_(&device.stream(copy_stream)),
-        compute_(&device.stream(compute_stream)) {}
-
-  /// Price one pipelined stage: an H2D copy of `bytes` feeding a kernel of
-  /// already-priced `compute_s` seconds. Returns the stage's completion
-  /// (kernel end) time on the compute lane.
-  double step(std::size_t bytes, double compute_s,
-              const char* kernel_name = "kernel");
-
-  /// Charge host-side per-stage overhead (e.g. chunk acquisition) on the
-  /// copy lane: it gates when the next transfer can be enqueued.
-  void charge_acquire(double seconds) { copy_->charge(seconds); }
-
-  /// Completion time of all work issued so far (max of both lanes).
-  [[nodiscard]] double finish() const noexcept {
-    return std::max(copy_->lane_time(), compute_->lane_time());
-  }
-
-  /// Copy seconds that ran concurrently with kernel execution so far —
-  /// the idle time double buffering reclaimed versus a serial schedule.
-  [[nodiscard]] double overlap_vtime() const noexcept {
-    return overlap_vtime_;
-  }
-
-  /// cudaDeviceSynchronize for the pipeline: merge both lanes into `host`.
-  void drain(timemodel::Timeline& host) {
-    host.merge(copy_->lane_time());
-    host.merge(compute_->lane_time());
-  }
-
- private:
-  Stream* copy_;
-  Stream* compute_;
-  /// Ping-pong staging: kernel-done event per slot (copy into a slot waits
-  /// for the kernel that last consumed it) and copy-done per slot (the
-  /// kernel waits for its input transfer).
-  Event slot_free_[2];
-  Event copy_done_[2];
-  int slot_ = 0;
-  /// Execution interval of the previous stage's kernel, for overlap
-  /// accounting against the current stage's copy.
-  double prev_kernel_begin_ = 0.0;
-  double prev_kernel_end_ = 0.0;
-  bool have_prev_kernel_ = false;
-  double overlap_vtime_ = 0.0;
 };
 
 /// Atomic read-modify-write on device data shared between simulated blocks.

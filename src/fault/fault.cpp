@@ -3,6 +3,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <string>
 
 namespace psf::fault {
 namespace {
@@ -82,6 +83,20 @@ Status parse_device_clause(std::string_view body, std::string_view clause,
       !parse_int(trigger.substr(5), fault.iteration) || fault.iteration < 1) {
     return Status::invalid_argument(
         clause_error(clause, "trigger must be @iter=N with N >= 1"));
+  }
+  // The runtimes price at most one device loss per rank and iteration
+  // (GReduction's requeue schedule has one failure point), so two losses
+  // that could fall on one rank in one iteration are refused up front.
+  for (const DeviceFault& other : out) {
+    if (other.iteration == fault.iteration &&
+        (other.rank < 0 || fault.rank < 0 || other.rank == fault.rank)) {
+      const std::string why =
+          "due on the same rank and iteration as device:" +
+          (other.rank < 0 ? std::string("*") : std::to_string(other.rank)) +
+          "." + other.device + "@iter=" + std::to_string(other.iteration) +
+          "; a rank can lose at most one device per iteration";
+      return Status::invalid_argument(clause_error(clause, why.c_str()));
+    }
   }
   out.push_back(std::move(fault));
   return Status::ok();

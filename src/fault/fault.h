@@ -9,7 +9,10 @@
 //       Device loss: the named accelerator ("gpu1", "mic3", ...) on the
 //       given rank (or every rank with `*`) dies on its first kernel launch
 //       of pattern iteration N (1-based). CPU devices cannot be targeted —
-//       a surviving device must always exist to replay the lost work.
+//       a surviving device must always exist to replay the lost work. A
+//       rank loses at most one device per iteration: two device clauses
+//       with the same N whose ranks are equal (or either is `*`) are
+//       rejected.
 //
 //   msg_drop:p=F[,corrupt=F][,dup=F][,delay_p=F][,delay_s=F][,timeout_s=F]
 //            [,backoff_s=F][,deadline_ms=N][,retries=N][,seed=S]
@@ -22,9 +25,11 @@
 //       probability `delay_p` delivery is delayed by delay_s virtual
 //       seconds. Draws come from a per-rank splitmix64 stream seeded with
 //       `seed`, so the injected sequence is identical across runs and
-//       executor widths. deadline_ms > 0 additionally arms a wall-clock
-//       receive deadline on every blocking receive (a hang detector; 0 =
-//       disabled).
+//       executor widths. A send that exhausts its `retries` aborts the run:
+//       World::try_run (or a served job, as kFailed) reports a non-OK
+//       Status at every executor width. deadline_ms > 0 additionally arms
+//       a wall-clock receive deadline on every blocking receive (a hang
+//       detector; 0 = disabled).
 //
 //   job_fail:p=F[,seed=S]
 //       Serving chaos (ServerOptions::chaos_plan): with probability p a

@@ -112,26 +112,15 @@ support::Status GReductionRuntime::start() {
   // iterations, then arm any loss due this iteration. Arming only when the
   // device drew canonical work keeps the launch countdown aligned with the
   // priced failure point.
-  const fault::FaultPlan* plan = env_->fault_plan();
-  const int iteration = ++gr_epoch_;
   std::vector<bool> lost_before(devices.size(), false);
   bool any_prior_loss = false;
   for (std::size_t d = 0; d < devices.size(); ++d) {
     lost_before[d] = devices[d]->lost();
     any_prior_loss = any_prior_loss || lost_before[d];
   }
-  int armed = -1;
-  if (plan != nullptr && !plan->device_faults().empty()) {
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (lost_before[d] || schedule.device_units[d] == 0) continue;
-      if (plan->device_fault_due(comm.rank(), devices[d]->descriptor().name(),
-                                 iteration) != nullptr) {
-        devices[d]->fail_at(1);
-        armed = static_cast<int>(d);
-        break;
-      }
-    }
-  }
+  const int iteration = ++gr_epoch_;
+  const int armed = env_->arm_device_loss(
+      iteration, [&](std::size_t d) { return schedule.device_units[d] > 0; });
 
   // Priced schedule: identical to the canonical one on the fault-free path
   // (same object, zero extra work); under a loss the survivors re-absorb
@@ -183,51 +172,6 @@ support::Status GReductionRuntime::start() {
     priced_storage.requeued_chunks = live.requeued_chunks;
     priced_storage.lost_device = live.lost_device >= 0 ? armed : -1;
     priced = &priced_storage;
-  }
-
-  // Double-buffered stream pricing (EnvOptions::stream_pipeline): replace
-  // each streaming accelerator's analytic steady-state makespan with a
-  // replay of its chunk sequence through a two-stream ping-pong pipeline.
-  // Each chunk splits into two pinned-memory blocks (paper III-D); the H2D
-  // copy of block k+1 overlaps the kernel of block k, and the replay
-  // records real h2d/kernel spans plus copy -> kernel "stream" edges on the
-  // device's trace lane. The functional schedule is untouched — this is a
-  // pricing substitution only, so results stay bit-identical.
-  ScheduleResult pipelined_storage;
-  if (env_->options().stream_pipeline) {
-    const auto sched_options = env_->scheduler_options();
-    bool any_pipelined = false;
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (!devices[d]->is_accelerator() || lost_before[d]) continue;
-      // The armed device keeps its analytic half-chunk + detection price.
-      if (static_cast<int>(d) == armed) continue;
-      if (specs[d].bytes_per_unit <= 0.0 || priced->device_units[d] == 0) {
-        continue;
-      }
-      if (!any_pipelined) pipelined_storage = *priced;
-      any_pipelined = true;
-      devsim::StreamPipeline pipeline(*devices[d]);
-      for (const auto& chunk : priced->chunks) {
-        if (chunk.device != static_cast<int>(d)) continue;
-        pipeline.charge_acquire(sched_options.overheads.chunk_acquire_s);
-        const double scaled = static_cast<double>(chunk.end - chunk.begin) *
-                              sched_options.workload_scale;
-        const double block_compute =
-            sched_options.overheads.kernel_launch_s +
-            0.5 * scaled / specs[d].units_per_s;
-        const auto block_bytes =
-            static_cast<std::size_t>(0.5 * scaled * specs[d].bytes_per_unit);
-        pipeline.step(block_bytes, block_compute, "gr chunk kernel");
-        pipeline.step(block_bytes, block_compute, "gr chunk kernel");
-      }
-      pipelined_storage.device_finish[d] = pipeline.finish();
-    }
-    if (any_pipelined) {
-      pipelined_storage.makespan =
-          *std::max_element(pipelined_storage.device_finish.begin(),
-                            pipelined_storage.device_finish.end());
-      priced = &pipelined_storage;
-    }
   }
 
   // Stats flags are computed on this thread before the lanes launch so the
@@ -473,64 +417,23 @@ const ReductionObject& GReductionRuntime::get_global_reduction() {
   // exact, so the combine below sees pre-fault state and the global result
   // stays bit-identical; only the restarted rank's virtual clock pays the
   // restart + reload cost.
-  const fault::FaultPlan* plan = env_->fault_plan();
-  if (plan != nullptr && plan->has_rank_faults()) {
+  if (const auto* plan = env_->fault_plan();
+      plan != nullptr && plan->has_rank_faults()) {
     const int boundary = ++combine_epoch_;
-    const auto& faults = plan->rank_faults();
-    if (rank_fault_fired_.size() < faults.size()) {
-      rank_fault_fired_.resize(faults.size(), false);
-    }
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      const fault::RankFault& rf = faults[i];
-      if (rank_fault_fired_[i]) continue;
-      if (rf.rank < 0 || rf.rank >= comm.size()) continue;
-      std::uint8_t due = 0;
-      if (rf.iteration > 0) {
-        due = boundary == rf.iteration ? 1 : 0;
-      } else {
-        // Virtual-time trigger: only the target rank's clock decides, so
-        // the decision is broadcast to keep every rank at the same
-        // boundary in agreement.
-        due = comm.rank() == rf.rank && comm.timeline().now() >= rf.vtime
-                  ? 1
-                  : 0;
-        comm.bcast(std::as_writable_bytes(std::span<std::uint8_t>(&due, 1)),
-                   rf.rank);
-      }
-      if (due == 0) continue;
-      rank_fault_fired_[i] = true;
-      if (comm.rank() == rf.rank) {
-        const double restart_t0 = comm.timeline().now();
-        std::vector<std::byte> blob(local_result_->serialized_size());
-        local_result_->serialize_into(blob);
-        auto restored = std::make_unique<ReductionObject>(
-            ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
-        restored->merge_serialized(blob);
-        std::vector<std::byte> check(restored->serialized_size());
-        restored->serialize_into(check);
-        PSF_CHECK_MSG(
-            check == blob,
-            "GR checkpoint blob did not round-trip bit-identically");
-        local_result_ = std::move(restored);
-        comm.timeline().advance(
-            fault::kRankRestartS +
-            static_cast<double>(blob.size()) / fault::kCheckpointBytesPerS);
-        PSF_METRIC_ADD("fault.rank_restarts", 1);
-        PSF_METRIC_ADD("fault.checkpoint_bytes", blob.size());
-        PSF_METRIC_ADD("fault.recoveries", 1);
-        if (auto* trace = env_->options().trace) {
-          trace->record("rank restart", "fault", comm.rank(), 0, restart_t0,
-                        comm.timeline().now());
-        }
-        if (fault::FaultLog::current().enabled()) {
-          fault::FaultLog::current().record(
-              comm.rank(),
-              "rank_restart gr boundary=" + std::to_string(boundary) +
-                  " bytes=" + std::to_string(blob.size()));
-        }
-      }
-      // Survivors wait for the restarted rank to rejoin before combining.
-      comm.barrier();
+    if (env_->restart_failed_ranks(boundary, boundary, rank_fault_fired_,
+                                   "gr boundary",
+                                   local_result_->serialized_size())
+            .restarted) {
+      std::vector<std::byte> blob(local_result_->serialized_size());
+      local_result_->serialize_into(blob);
+      auto restored = std::make_unique<ReductionObject>(
+          ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+      restored->merge_serialized(blob);
+      std::vector<std::byte> check(restored->serialized_size());
+      restored->serialize_into(check);
+      PSF_CHECK_MSG(check == blob,
+                    "GR checkpoint blob did not round-trip bit-identically");
+      local_result_ = std::move(restored);
     }
   }
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "exec/parallel_for.h"
-#include "fault/fault.h"
 #include "pattern/runtime_env.h"
 #include "support/log.h"
 #include "support/metrics.h"
@@ -613,22 +612,10 @@ support::Status IReductionRuntime::start() {
   // no edges this pass is skipped so the loss fires on a deterministic
   // launch.
   const int iteration = ++ir_epoch_;
-  int armed = -1;
-  if (const auto* plan = env_->fault_plan(); plan != nullptr) {
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (devices[d]->lost()) continue;
-      const auto& dev_plan = device_plans_[d];
-      if (dev_plan.local_edges.empty() && dev_plan.cross_edges.empty()) {
-        continue;
-      }
-      if (plan->device_fault_due(comm.rank(),
-                                 devices[d]->descriptor().name(),
-                                 iteration)) {
-        devices[d]->fail_at(1);
-        armed = static_cast<int>(d);
-      }
-    }
-  }
+  const int armed = env_->arm_device_loss(iteration, [&](std::size_t d) {
+    return !device_plans_[d].local_edges.empty() ||
+           !device_plans_[d].cross_edges.empty();
+  });
 
   // Refresh each GPU's full node-data copy when node data changed
   // (paper III-D: "the node data has a full copy on each device").
@@ -669,21 +656,7 @@ support::Status IReductionRuntime::start() {
   // repartition after a loss — the edge->device decomposition is preserved
   // (replayed by the host) precisely so the per-node contribution order,
   // and therefore the result bytes, match the fault-free run.
-  if (armed >= 0 &&
-      devices[static_cast<std::size_t>(armed)]->lost()) {
-    const double detect_begin = comm.timeline().now();
-    comm.timeline().advance(fault::kDeviceLossDetectS);
-    PSF_METRIC_ADD("fault.recoveries", 1);
-    if (auto* trace = env_->options().trace) {
-      trace->record("device loss recovery", "fault", comm.rank(), 0,
-                    detect_begin, comm.timeline().now());
-    }
-    fault::FaultLog::current().record(
-        comm.rank(),
-        "ir recover " +
-            devices[static_cast<std::size_t>(armed)]->descriptor().name() +
-            " iter=" + std::to_string(iteration));
-  }
+  env_->detect_device_loss(armed, "ir", iteration);
 
   // Adaptive partitioning: after the first (even-split) iteration, observe
   // device speeds and regroup the edges once (paper III-D).

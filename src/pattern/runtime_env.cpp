@@ -1,7 +1,9 @@
 #include "pattern/runtime_env.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string>
 
 #include "pattern/compose.h"
@@ -228,6 +230,98 @@ DynamicScheduler::Options RuntimeEnv::scheduler_options() const {
   opts.overlap_copy = options_.overlap;
   opts.workload_scale = options_.workload_scale;
   return opts;
+}
+
+int RuntimeEnv::arm_device_loss(
+    int iteration, const std::function<bool(std::size_t)>& has_work) {
+  if (fault_plan_ == nullptr || fault_plan_->device_faults().empty()) {
+    return -1;
+  }
+  const auto devices = active_devices();
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    if (devices[d]->lost() || !has_work(d)) continue;
+    if (fault_plan_->device_fault_due(comm_->rank(),
+                                      devices[d]->descriptor().name(),
+                                      iteration) != nullptr) {
+      devices[d]->fail_at(1);
+      return static_cast<int>(d);
+    }
+  }
+  return -1;
+}
+
+bool RuntimeEnv::detect_device_loss(int armed, const char* layer,
+                                    int iteration) {
+  if (armed < 0) return false;
+  const devsim::Device& device =
+      *active_devices()[static_cast<std::size_t>(armed)];
+  if (!device.lost()) return false;
+  auto& timeline = comm_->timeline();
+  const double detect_begin = timeline.now();
+  timeline.advance(fault::kDeviceLossDetectS);
+  PSF_METRIC_ADD("fault.recoveries", 1);
+  if (options_.trace != nullptr) {
+    options_.trace->record("device loss recovery", "fault", comm_->rank(), 0,
+                           detect_begin, timeline.now());
+  }
+  if (auto& log = fault::FaultLog::current(); log.enabled()) {
+    log.record(comm_->rank(), std::string(layer) + " recover " +
+                                  device.descriptor().name() +
+                                  " iter=" + std::to_string(iteration));
+  }
+  return true;
+}
+
+RankRestart RuntimeEnv::restart_failed_ranks(int boundary, int resume_at,
+                                             std::vector<bool>& fired,
+                                             const char* what,
+                                             std::size_t checkpoint_bytes) {
+  RankRestart outcome;
+  if (fault_plan_ == nullptr) return outcome;
+  auto& comm = *comm_;
+  const auto& faults = fault_plan_->rank_faults();
+  if (fired.size() < faults.size()) fired.resize(faults.size(), false);
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    const fault::RankFault& rf = faults[f];
+    if (fired[f] || rf.rank < 0 || rf.rank >= comm.size()) continue;
+    std::uint8_t due = 0;
+    if (rf.iteration > 0) {
+      due = (outcome.fired ? resume_at : boundary) == rf.iteration ? 1 : 0;
+    } else {
+      // Virtual-time trigger: only the target rank's clock decides, so the
+      // decision is broadcast to keep every rank at this boundary in
+      // agreement.
+      due = comm.rank() == rf.rank && comm.timeline().now() >= rf.vtime ? 1
+                                                                        : 0;
+      comm.bcast(std::as_writable_bytes(std::span<std::uint8_t>(&due, 1)),
+                 rf.rank);
+    }
+    if (due == 0) continue;
+    fired[f] = true;
+    outcome.fired = true;
+    if (comm.rank() == rf.rank) {
+      outcome.restarted = true;
+      const double restart_begin = comm.timeline().now();
+      comm.timeline().advance(fault::kRankRestartS +
+                              static_cast<double>(checkpoint_bytes) /
+                                  fault::kCheckpointBytesPerS);
+      PSF_METRIC_ADD("fault.rank_restarts", 1);
+      PSF_METRIC_ADD("fault.checkpoint_bytes", checkpoint_bytes);
+      PSF_METRIC_ADD("fault.recoveries", 1);
+      if (options_.trace != nullptr) {
+        options_.trace->record("rank restart", "fault", comm.rank(), 0,
+                               restart_begin, comm.timeline().now());
+      }
+      if (auto& log = fault::FaultLog::current(); log.enabled()) {
+        log.record(comm.rank(), "rank_restart " + std::string(what) + "=" +
+                                    std::to_string(resume_at) + " bytes=" +
+                                    std::to_string(checkpoint_bytes));
+      }
+    }
+    // Survivors wait for the restarted rank to rejoin.
+    comm.barrier();
+  }
+  return outcome;
 }
 
 }  // namespace psf::pattern

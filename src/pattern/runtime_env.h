@@ -6,6 +6,7 @@
 // (get_GR / get_IR / get_ST).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -64,14 +65,6 @@ struct EnvOptions {
   bool overlap = true;
   /// Grid tiling for stencils (paper Section III-E).
   bool tiling = true;
-  /// Double-buffered copy/compute stream pipelines (devsim::StreamPipeline):
-  /// GR GPU chunks are priced by replaying the chunk schedule through a
-  /// two-stream ping-pong pipeline (real h2d/kernel spans + "stream" trace
-  /// edges instead of the analytic steady-state makespan), and stencil halo
-  /// uploads ride the copy stream asynchronously, overlapping later
-  /// exchange dims and inner-tile compute. Off by default: it changes
-  /// vtimes, so the BENCH baseline pins it per variant.
-  bool stream_pipeline = false;
   /// Shared-memory reduction localization (paper Section III-E).
   bool reduction_localization = true;
   /// Price the workload as `workload_scale` times its functional size, so a
@@ -168,10 +161,6 @@ struct EnvOptions {
     tiling = value;
     return *this;
   }
-  EnvOptions& with_stream_pipeline(bool value = true) {
-    stream_pipeline = value;
-    return *this;
-  }
   EnvOptions& with_reduction_localization(bool value = true) {
     reduction_localization = value;
     return *this;
@@ -212,6 +201,12 @@ struct EnvOptions {
     shared_executor = value;
     return *this;
   }
+};
+
+/// What RuntimeEnv::restart_failed_ranks() did at one iteration boundary.
+struct RankRestart {
+  bool fired = false;      ///< a rank fault fired: every rank rolls back
+  bool restarted = false;  ///< this rank was the one killed and restarted
 };
 
 /// Per-rank runtime environment.
@@ -266,6 +261,43 @@ class RuntimeEnv {
   [[nodiscard]] const fault::FaultPlan* fault_plan() const noexcept {
     return fault_plan_.get();
   }
+
+  // --- fault hooks (docs/RESILIENCE.md) -------------------------------------
+  // The pattern runtimes inject and recover from planned faults through
+  // these. Each runtime keeps its own iteration counter, checkpoint and
+  // per-clause fired state; without a matching plan clause a hook does
+  // nothing.
+
+  /// Device loss: arms the active device whose loss the plan schedules on
+  /// this rank at pattern iteration `iteration`, so it dies (executing
+  /// nothing) on its next launch. Devices already lost, or without work
+  /// this iteration (`has_work(d)` false), are never armed: the loss must
+  /// fire on a launch that happens. FaultPlan::parse admits at most one
+  /// loss per rank and iteration. Returns the armed index, or -1.
+  int arm_device_loss(int iteration,
+                      const std::function<bool(std::size_t)>& has_work);
+
+  /// When device `armed` (an arm_device_loss() result) died this iteration:
+  /// charges the detection latency on the host lane, counts the recovery,
+  /// records the "device loss recovery" span and logs "<layer> recover
+  /// <device> iter=<iteration>". Returns whether the device died.
+  bool detect_device_loss(int armed, const char* layer, int iteration);
+
+  /// Rank failure: fires the `rank:` clauses due at iteration boundary
+  /// `boundary` that `fired` (the caller's state, indexed like
+  /// FaultPlan::rank_faults()) has not seen. `resume_at` is the iteration
+  /// the killed rank resumes from: the checkpoint's iteration for a runtime
+  /// that rolls back and replays, `boundary` for one that does not. Once a
+  /// clause fired, @iter= triggers compare against `resume_at`, so a second
+  /// clause due at a replayed boundary fires when the replay reaches it.
+  /// The killed rank pays a restart plus reloading `checkpoint_bytes`,
+  /// logged as "rank_restart <what>=<resume_at> bytes=<checkpoint_bytes>";
+  /// every rank then waits for it at a barrier. Collective: a vtime trigger
+  /// is decided on the target rank's clock and broadcast. The caller
+  /// restores its own checkpoint.
+  RankRestart restart_failed_ranks(int boundary, int resume_at,
+                                   std::vector<bool>& fired, const char* what,
+                                   std::size_t checkpoint_bytes);
 
  private:
   [[nodiscard]] support::Status validate_options() const;

@@ -6,11 +6,12 @@
 #include <exception>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "exec/latch.h"
-#include "fault/fault.h"
 #include "exec/parallel_for.h"
+#include "fault/fault.h"
 #include "pattern/partition.h"
 #include "pattern/runtime_env.h"
 #include "support/log.h"
@@ -41,6 +42,46 @@ bool read_pod(std::span<const std::byte>& in, T& value) {
   in = in.subspan(sizeof(T));
   return true;
 }
+
+/// Device lanes launched onto the executor while the calling thread does
+/// other work. join() helps the pool until every lane finished, then
+/// rethrows the first lane exception. The destructor helps until they
+/// finished too, so an exception from the caller's own work never unwinds
+/// past lanes that still read the runtime's grids.
+class LaunchedLanes {
+ public:
+  template <typename Body>
+  LaunchedLanes(exec::ThreadPool& pool, std::size_t count, const Body& body)
+      : pool_(&pool), done_(count) {
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      pool.submit([this, &body, lane] {
+        try {
+          body(lane);
+        } catch (...) {
+          std::lock_guard<std::mutex> guard(error_mutex_);
+          if (!error_) error_ = std::current_exception();
+        }
+        done_.count_down();
+      });
+    }
+  }
+  LaunchedLanes(const LaunchedLanes&) = delete;
+  LaunchedLanes& operator=(const LaunchedLanes&) = delete;
+  ~LaunchedLanes() { wait(); }
+
+  void join() {
+    wait();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  void wait() { pool_->help_while([this] { return done_.try_wait(); }); }
+
+  exec::ThreadPool* pool_;
+  exec::Latch done_;
+  std::mutex error_mutex_;
+  std::exception_ptr error_;
+};
 }  // namespace
 
 StencilRuntime::StencilRuntime(RuntimeEnv& env) : env_(&env) {}
@@ -364,80 +405,40 @@ std::size_t StencilRuntime::exchange_dim(int dim) {
   // into pooled payloads — the staging buffer IS the message, so after the
   // first iteration warms the pool no halo send allocates or double-copies.
   // GPUs pack through a zero-copy kernel into a host-mapped buffer.
-  if (lo_rank != minimpi::kNoNeighbor) {
-    face(/*low=*/true, /*halo_region=*/false, lo, hi);
+  const auto send_face = [&](bool low, int rank, int tag) {
+    if (rank == minimpi::kNoNeighbor) return;
+    face(low, /*halo_region=*/false, lo, hi);
     auto staged = comm.acquire_buffer(box_bytes(lo, hi));
     pack_box(lo, hi, staged.data());
     comm.timeline().advance(
         (any_gpu ? overheads.kernel_launch_s : 0.0) +
         static_cast<double>(staged.size()) * scale / kHostCopyBw);
     sent += staged.size();
-    comm.isend_pooled(lo_rank, tag_lo, std::move(staged));
-  }
-  if (hi_rank != minimpi::kNoNeighbor) {
-    face(/*low=*/false, /*halo_region=*/false, lo, hi);
-    auto staged = comm.acquire_buffer(box_bytes(lo, hi));
-    pack_box(lo, hi, staged.data());
-    comm.timeline().advance(
-        (any_gpu ? overheads.kernel_launch_s : 0.0) +
-        static_cast<double>(staged.size()) * scale / kHostCopyBw);
-    sent += staged.size();
-    comm.isend_pooled(hi_rank, tag_hi, std::move(staged));
-  }
+    comm.isend_pooled(rank, tag, std::move(staged));
+  };
+  send_face(/*low=*/true, lo_rank, tag_lo);
+  send_face(/*low=*/false, hi_rank, tag_hi);
 
   // Steps 4-5: receive and unpack into the halo regions (for GPUs via the
-  // host-mapped buffer and an unpack kernel). Under
-  // EnvOptions::stream_pipeline the PCIe upload and the unpack kernel ride
-  // the accelerator's double-buffered streams asynchronously — they overlap
-  // the recv waits of later dims and the concurrent inner tiles, and the
-  // host only waits for them at the boundary-pass drain in start(). The
-  // host-side staging copy stays on the host timeline either way.
+  // host-mapped buffer, a PCIe upload and an unpack kernel).
   const auto& pcie = env_->options().preset.pcie;
-  devsim::StreamPipeline* pipeline =
-      (any_gpu && env_->options().stream_pipeline) ? halo_pipeline() : nullptr;
-  auto price_unpack = [&](std::size_t payload_bytes) {
-    comm.timeline().advance(static_cast<double>(payload_bytes) * scale /
-                            kHostCopyBw);
+  const auto recv_face = [&](bool low, int rank, int tag) {
+    if (rank == minimpi::kNoNeighbor) return;
+    auto message = comm.recv_any(rank, tag);
+    face(low, /*halo_region=*/true, lo, hi);
+    PSF_CHECK_MSG(message.payload.size() == box_bytes(lo, hi),
+                  "halo size mismatch on dim " << dim);
+    unpack_box(lo, hi, message.payload.data());
+    const double payload_bytes = static_cast<double>(message.payload.size());
+    comm.timeline().advance(payload_bytes * scale / kHostCopyBw);
     if (!any_gpu) return;
-    const auto upload_bytes = static_cast<std::size_t>(
-        static_cast<double>(payload_bytes) * scale);
-    if (pipeline != nullptr) {
-      pipeline->step(upload_bytes, overheads.kernel_launch_s, "halo unpack");
-    } else {
-      comm.timeline().advance(overheads.kernel_launch_s +
-                              pcie.cost(upload_bytes));
-    }
+    comm.timeline().advance(
+        overheads.kernel_launch_s +
+        pcie.cost(static_cast<std::size_t>(payload_bytes * scale)));
   };
-  if (lo_rank != minimpi::kNoNeighbor) {
-    auto message = comm.recv_any(lo_rank, tag_hi);
-    face(/*low=*/true, /*halo_region=*/true, lo, hi);
-    PSF_CHECK_MSG(message.payload.size() == box_bytes(lo, hi),
-                  "halo size mismatch on dim " << dim);
-    unpack_box(lo, hi, message.payload.data());
-    price_unpack(message.payload.size());
-  }
-  if (hi_rank != minimpi::kNoNeighbor) {
-    auto message = comm.recv_any(hi_rank, tag_lo);
-    face(/*low=*/false, /*halo_region=*/true, lo, hi);
-    PSF_CHECK_MSG(message.payload.size() == box_bytes(lo, hi),
-                  "halo size mismatch on dim " << dim);
-    unpack_box(lo, hi, message.payload.data());
-    price_unpack(message.payload.size());
-  }
+  recv_face(/*low=*/true, lo_rank, tag_hi);
+  recv_face(/*low=*/false, hi_rank, tag_lo);
   return sent;
-}
-
-devsim::StreamPipeline* StencilRuntime::halo_pipeline() {
-  if (!halo_pipeline_probed_) {
-    halo_pipeline_probed_ = true;
-    for (auto* device : env_->active_devices()) {
-      if (device->is_accelerator()) {
-        halo_pipeline_ = std::make_unique<devsim::StreamPipeline>(*device);
-        break;
-      }
-    }
-  }
-  return halo_pipeline_.get();
 }
 
 void StencilRuntime::compute_rows(int device_index, std::size_t row_begin,
@@ -619,21 +620,10 @@ support::Status StencilRuntime::start() {
   // Device-loss injection: arm any loss due this sweep. The armed device
   // dies on its first launch (executing nothing); compute_rows replays its
   // rows on the host and price_pass below charges them at the host rate.
-  const fault::FaultPlan* plan = env_->fault_plan();
-  int armed = -1;
-  if (plan != nullptr && !plan->device_faults().empty()) {
-    const int iteration = stats_.iterations + 1;
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      if (devices[d]->lost()) continue;
-      if (device_row_bounds_[d + 1] == device_row_bounds_[d]) continue;
-      if (plan->device_fault_due(comm.rank(), devices[d]->descriptor().name(),
-                                 iteration) != nullptr) {
-        devices[d]->fail_at(1);
-        armed = static_cast<int>(d);
-        break;
-      }
-    }
-  }
+  const int armed =
+      env_->arm_device_loss(stats_.iterations + 1, [&](std::size_t d) {
+        return device_row_bounds_[d + 1] > device_row_bounds_[d];
+      });
 
   // Per-device cell tallies for pricing (geometry-derived; the functional
   // pass computes exactly these cells).
@@ -684,108 +674,64 @@ support::Status StencilRuntime::start() {
     }
   };
 
+  // Steps 1-5: pack, exchange and unpack the halos; compute the inner tiles.
+  // Inner cells never read the halo regions the exchange unpacks into (that
+  // is what makes them "inner"). With overlap their lanes fork where the
+  // exchange begins, and a concurrent executor runs them while this thread
+  // drives the exchange; without overlap they fork after it. Virtual time
+  // is identical for every executor width.
   const bool overlap = env_->options().overlap;
+  auto& pool = env_->executor();
+  const auto inner_tile = [&](std::size_t d) {
+    PSF_PROF_SCOPE("st.inner");
+    compute_rows(static_cast<int>(d), device_row_bounds_[d],
+                 device_row_bounds_[d + 1], /*want_inner=*/true);
+  };
+  const double exchange_begin = comm.timeline().now();
   std::size_t halo_bytes = 0;
-  double exchange_end = comm.timeline().now();
+  {
+    std::optional<LaunchedLanes> launched;
+    if (overlap && pool.concurrent()) {
+      launched.emplace(pool, devices.size(), inner_tile);
+    }
+    for (int d = 0; d < ndims_; ++d) halo_bytes += exchange_dim(d);
+    if (launched) {
+      launched->join();
+    } else {
+      exec::parallel_for(pool, devices.size(), inner_tile);
+    }
+  }
+  const double exchange_end = comm.timeline().now();
+  stats_.last_exchange_vtime = exchange_end - exchange_begin;
+
+  const double inner_fork = overlap ? exchange_begin : exchange_end;
+  timemodel::LaneSet inner_lanes(devices.size(), inner_fork);
+  price_pass(inner_lanes, /*inner_pass=*/true);
+  // Overlap efficiency: the fraction of the halo exchange hidden under
+  // inner-tile compute. Both spans start at the fork, so the overlapped
+  // portion is the shorter of the two.
+  if (overlap && exchange_end > exchange_begin) {
+    PSF_METRIC_GAUGE_SET("pattern.st.overlap_efficiency",
+                         (std::min(exchange_end, inner_lanes.max_time()) -
+                          exchange_begin) /
+                             (exchange_end - exchange_begin));
+  }
   // Span ids carried forward so the boundary pass can record its causal
   // dependencies (exchange -> boundary, inner_d -> boundary_d).
   std::uint64_t exchange_span = 0;
   std::uint64_t sync_span = 0;
   std::vector<std::uint64_t> inner_spans(devices.size(), 0);
-
-  if (overlap) {
-    // Steps 1-3: pack, asynchronous exchange, inner tiles concurrently.
-    // With a concurrent executor the inner tiles really do run while the
-    // rank thread drives the halo exchange: inner cells never read the halo
-    // regions the exchange unpacks into (that is what makes them "inner"),
-    // so the two proceed race-free. Virtual-time pricing is identical to
-    // the serial engine either way.
-    const double fork = comm.timeline().now();
-    auto& pool = env_->executor();
-    const bool concurrent = pool.concurrent();
-    exec::Latch inner_done(concurrent ? devices.size() : 0);
-    std::mutex error_mutex;
-    std::exception_ptr inner_error;
-    if (concurrent) {
-      for (std::size_t d = 0; d < devices.size(); ++d) {
-        pool.submit([&, d] {
-          try {
-            compute_rows(static_cast<int>(d), device_row_bounds_[d],
-                         device_row_bounds_[d + 1], /*want_inner=*/true);
-          } catch (...) {
-            std::lock_guard<std::mutex> guard(error_mutex);
-            if (!inner_error) inner_error = std::current_exception();
-          }
-          inner_done.count_down();
-        });
-      }
+  if (auto* trace = env_->options().trace) {
+    exchange_span = trace->record("halo exchange", "comm", comm.rank(), 0,
+                                  exchange_begin, exchange_end);
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      inner_spans[d] =
+          trace->record("inner tiles", "compute", comm.rank(),
+                        static_cast<int>(d) + 1, inner_fork,
+                        inner_lanes.time(d));
     }
-    for (int d = 0; d < ndims_; ++d) halo_bytes += exchange_dim(d);
-    exchange_end = comm.timeline().now();
-    stats_.last_exchange_vtime = exchange_end - fork;
-    if (concurrent) {
-      // Help the pool with the in-flight tiles instead of blocking.
-      pool.help_while([&] { return inner_done.try_wait(); });
-      if (inner_error) std::rethrow_exception(inner_error);
-    } else {
-      for (std::size_t d = 0; d < devices.size(); ++d) {
-        compute_rows(static_cast<int>(d), device_row_bounds_[d],
-                     device_row_bounds_[d + 1], /*want_inner=*/true);
-      }
-    }
-
-    timemodel::LaneSet lanes(devices.size(), fork);
-    price_pass(lanes, /*inner_pass=*/true);
-#ifndef PSF_DISABLE_METRICS
-    // Overlap efficiency: the fraction of the halo exchange hidden under
-    // inner-tile compute. Both spans start at `fork`, so the overlapped
-    // portion is the shorter of the two.
-    if (exchange_end > fork) {
-      double inner_end = fork;
-      for (std::size_t d = 0; d < devices.size(); ++d) {
-        inner_end = std::max(inner_end, lanes.time(d));
-      }
-      PSF_METRIC_GAUGE_SET(
-          "pattern.st.overlap_efficiency",
-          (std::min(exchange_end, inner_end) - fork) / (exchange_end - fork));
-    }
-#endif
-    if (auto* trace = env_->options().trace) {
-      exchange_span = trace->record("halo exchange", "comm", comm.rank(), 0,
-                                    fork, exchange_end);
-      for (std::size_t d = 0; d < devices.size(); ++d) {
-        inner_spans[d] =
-            trace->record("inner tiles", "compute", comm.rank(),
-                          static_cast<int>(d) + 1, fork, lanes.time(d));
-      }
-    }
-    lanes.join(comm.timeline());
-  } else {
-    const double ex0 = comm.timeline().now();
-    for (int d = 0; d < ndims_; ++d) halo_bytes += exchange_dim(d);
-    exchange_end = comm.timeline().now();
-    stats_.last_exchange_vtime = exchange_end - ex0;
-
-    // Device lanes run concurrently; rows are disjoint between devices.
-    exec::parallel_for(env_->executor(), devices.size(), [&](std::size_t d) {
-      PSF_PROF_SCOPE("st.inner");
-      compute_rows(static_cast<int>(d), device_row_bounds_[d],
-                   device_row_bounds_[d + 1], /*want_inner=*/true);
-    });
-    const double fork = comm.timeline().now();
-    timemodel::LaneSet lanes(devices.size(), fork);
-    price_pass(lanes, /*inner_pass=*/true);
-    if (auto* trace = env_->options().trace) {
-      exchange_span = trace->record("halo exchange", "comm", comm.rank(), 0,
-                                    ex0, exchange_end);
-      for (std::size_t d = 0; d < devices.size(); ++d) {
-        inner_spans[d] =
-            trace->record("inner tiles", "compute", comm.rank(),
-                          static_cast<int>(d) + 1, fork, lanes.time(d));
-      }
-    }
-    lanes.join(comm.timeline());
   }
+  inner_lanes.join(comm.timeline());
 
   // Step 6: inter-device boundary exchange (CPU<->GPU over PCIe, GPU<->GPU
   // via peer copies). Functionally the devices share the local sub-grid;
@@ -811,19 +757,11 @@ support::Status StencilRuntime::start() {
     }
   }
 
-  // Pipelined halo uploads drain here: boundary tiles read the halos, so
-  // the host waits for the copy/unpack streams only now — everything that
-  // ran since each upload was enqueued (later exchange dims, inner tiles,
-  // the inter-device sync) hid that transfer time.
-  if (halo_pipeline_ != nullptr && env_->options().stream_pipeline) {
-    halo_pipeline_->drain(comm.timeline());
-  }
-
   // Step 7: boundary tiles (grouped into one launch when tiling is on).
   {
     const double fork = comm.timeline().now();
     timemodel::LaneSet lanes(devices.size(), fork);
-    exec::parallel_for(env_->executor(), devices.size(), [&](std::size_t d) {
+    exec::parallel_for(pool, devices.size(), [&](std::size_t d) {
       PSF_PROF_SCOPE("st.boundary");
       compute_rows(static_cast<int>(d), device_row_bounds_[d],
                    device_row_bounds_[d + 1], /*want_inner=*/false);
@@ -895,21 +833,7 @@ support::Status StencilRuntime::start() {
   // Device-loss recovery accounting: the runtime notices the loss after the
   // sweep's launches, charges the detection latency, and re-splits the rows
   // over the survivors for the following sweeps.
-  if (armed >= 0 && devices[static_cast<std::size_t>(armed)]->lost()) {
-    const double detect_t0 = comm.timeline().now();
-    comm.timeline().advance(fault::kDeviceLossDetectS);
-    PSF_METRIC_ADD("fault.recoveries", 1);
-    if (auto* trace = env_->options().trace) {
-      trace->record("device loss recovery", "fault", comm.rank(), 0,
-                    detect_t0, comm.timeline().now());
-    }
-    if (fault::FaultLog::current().enabled()) {
-      fault::FaultLog::current().record(
-          comm.rank(),
-          "st recover " +
-              devices[static_cast<std::size_t>(armed)]->descriptor().name() +
-              " iter=" + std::to_string(stats_.iterations));
-    }
+  if (env_->detect_device_loss(armed, "st", stats_.iterations)) {
     drop_lost_devices();
   }
   return support::Status::ok();
@@ -1031,60 +955,17 @@ support::Status StencilRuntime::run(int iterations) {
   // checkpoint (coordinated restart) and replay the lost sweep, so the final
   // grid is bit-identical to a fault-free run. The killed rank additionally
   // pays the restart + checkpoint-reload cost in virtual time.
-  auto& comm = env_->comm();
   PSF_RETURN_IF_ERROR(validate());
   if (!ready_) setup();
-  const auto& faults = plan->rank_faults();
-  if (rank_fault_fired_.size() < faults.size()) {
-    rank_fault_fired_.resize(faults.size(), false);
-  }
   std::vector<std::byte> snapshot = checkpoint();
   for (int i = 0; i < iterations; ++i) {
     PSF_RETURN_IF_ERROR(start());
-    bool rolled_back = false;
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      const fault::RankFault& rf = faults[f];
-      if (rank_fault_fired_[f]) continue;
-      if (rf.rank < 0 || rf.rank >= comm.size()) continue;
-      std::uint8_t due = 0;
-      if (rf.iteration > 0) {
-        due = stats_.iterations == rf.iteration ? 1 : 0;
-      } else {
-        // Virtual-time trigger: the target rank's clock decides; broadcast
-        // so every rank agrees at the same boundary.
-        due = comm.rank() == rf.rank && comm.timeline().now() >= rf.vtime
-                  ? 1
-                  : 0;
-        comm.bcast(std::as_writable_bytes(std::span<std::uint8_t>(&due, 1)),
-                   rf.rank);
-      }
-      if (due == 0) continue;
-      rank_fault_fired_[f] = true;
-      rolled_back = true;
+    // The snapshot was taken one sweep ago: the rollback resumes there.
+    if (env_->restart_failed_ranks(stats_.iterations, stats_.iterations - 1,
+                                   rank_fault_fired_, "st iter",
+                                   snapshot.size())
+            .fired) {
       PSF_RETURN_IF_ERROR(restore(snapshot));
-      if (comm.rank() == rf.rank) {
-        const double restart_t0 = comm.timeline().now();
-        comm.timeline().advance(fault::kRankRestartS +
-                                static_cast<double>(snapshot.size()) /
-                                    fault::kCheckpointBytesPerS);
-        PSF_METRIC_ADD("fault.rank_restarts", 1);
-        PSF_METRIC_ADD("fault.checkpoint_bytes", snapshot.size());
-        PSF_METRIC_ADD("fault.recoveries", 1);
-        if (auto* trace = env_->options().trace) {
-          trace->record("rank restart", "fault", comm.rank(), 0, restart_t0,
-                        comm.timeline().now());
-        }
-        if (fault::FaultLog::current().enabled()) {
-          fault::FaultLog::current().record(
-              comm.rank(),
-              "rank_restart st iter=" + std::to_string(stats_.iterations) +
-                  " bytes=" + std::to_string(snapshot.size()));
-        }
-      }
-      // Survivors wait for the restarted rank before the replayed sweep.
-      comm.barrier();
-    }
-    if (rolled_back) {
       --i;  // replay the sweep the rollback discarded
       continue;
     }

@@ -24,10 +24,6 @@
 #include "support/compat.h"
 #include "support/error.h"
 
-namespace psf::devsim {
-class StreamPipeline;
-}  // namespace psf::devsim
-
 namespace psf::pattern {
 
 class RuntimeEnv;
@@ -229,12 +225,6 @@ class StencilRuntime {
   /// Halo exchange for one dimension (both directions); returns bytes sent.
   std::size_t exchange_dim(int dim);
 
-  /// Lazily-built double-buffered upload pipeline on the first accelerator
-  /// (EnvOptions::stream_pipeline): halo unpack uploads ride its copy
-  /// stream so they overlap later exchange dims and inner-tile compute.
-  /// Null when the device mix has no accelerator.
-  devsim::StreamPipeline* halo_pipeline();
-
   /// Apply the stencil to all cells in rows [row_begin, row_end) of dim 0
   /// of one class; `want_inner` selects which class to compute this pass.
   void compute_rows(int device_index, std::size_t row_begin,
@@ -289,9 +279,6 @@ class StencilRuntime {
   std::array<bool, kMaxDims> wrap_ = {false, false, false};
   support::AlignedBuffer in_;
   support::AlignedBuffer out_;
-
-  std::unique_ptr<devsim::StreamPipeline> halo_pipeline_;
-  bool halo_pipeline_probed_ = false;
 
   AdaptivePartitioner partitioner_{1};
   std::vector<std::size_t> device_row_bounds_;  ///< interior row split

@@ -19,6 +19,7 @@
 #include "apps/heat3d.h"
 #include "apps/kmeans.h"
 #include "apps/moldyn.h"
+#include "apps/sobel.h"
 #include "devsim/device.h"
 #include "fault/fault.h"
 #include "minimpi/communicator.h"
@@ -93,6 +94,30 @@ TEST(FaultPlan, ServingClausesCoexistWithLegacyOnes) {
   EXPECT_EQ(value.submit_burst()->priority, 0) << "priority defaults to 0";
   EXPECT_TRUE(value.has_server_chaos());
   EXPECT_FALSE(value.empty());
+}
+
+TEST(FaultPlan, RejectsTwoDeviceLossesDueOnOneRankInOneIteration) {
+  // A rank prices at most one device loss per iteration. Clauses overlap
+  // when they share an iteration and their ranks are equal or either is
+  // `*`; the error names both clauses.
+  for (const char* spec :
+       {"device:*.gpu1@iter=2;device:*.gpu2@iter=2",
+        "device:0.gpu1@iter=2;device:*.gpu2@iter=2",
+        "device:*.gpu1@iter=2;device:1.gpu2@iter=2",
+        "device:1.gpu1@iter=2;device:1.gpu2@iter=2"}) {
+    auto plan = fault::FaultPlan::parse(spec);
+    ASSERT_FALSE(plan.is_ok()) << spec;
+    EXPECT_EQ(plan.status().code(), support::ErrorCode::kInvalidArgument);
+    const std::string message = plan.status().message();
+    EXPECT_NE(message.find("gpu1@iter=2"), std::string::npos) << message;
+    EXPECT_NE(message.find("gpu2@iter=2"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(
+      fault::FaultPlan::parse("device:0.gpu1@iter=2;device:1.gpu2@iter=2")
+          .is_ok());
+  EXPECT_TRUE(
+      fault::FaultPlan::parse("device:*.gpu1@iter=2;device:*.gpu2@iter=3")
+          .is_ok());
 }
 
 TEST(FaultPlan, EmptySpecParsesToEmptyPlan) {
@@ -351,6 +376,32 @@ TEST(FaultStRankRestart, Heat3dRankRestartConvergesBitIdentically) {
   }
   EXPECT_GT(by_iter.vtime, clean.vtime);
   EXPECT_GT(by_vtime.vtime, clean.vtime);
+}
+
+// A link that exhausts its retransmissions throws out of the halo exchange
+// while the overlapped inner tiles may still be running on the executor;
+// the sweep must join them before the exception unwinds the runtime whose
+// grid they read, so the run ends in a Status at every executor width.
+TEST(FaultStOverlap, ExhaustedLinkReturnsStatusAtEveryWidth) {
+  const apps::sobel::Params params;
+  const auto image = apps::sobel::generate_image(params);
+  for (const int threads : {1, 3, 3, 3}) {
+    minimpi::World world(2);
+    const support::Status status =
+        world.try_run([&](minimpi::Communicator& comm) {
+          auto options = hybrid_options("sobel");
+          options.num_threads = threads;
+          options.overlap = true;
+          options.with_fault_plan("msg_drop:p=0.99,retries=1,seed=1");
+          (void)apps::sobel::run_framework(comm, options, params, image);
+        });
+    ASSERT_FALSE(status.is_ok()) << "threads=" << threads;
+    EXPECT_EQ(status.code(), support::ErrorCode::kInternal);
+    EXPECT_NE(status.message().find(
+                  "exhausted 1 retransmissions under the fault plan"),
+              std::string::npos)
+        << status.to_string();
+  }
 }
 
 TEST(FaultIrDeviceLoss, MoldynSurvivesGpuLossBitIdentically) {

@@ -1,9 +1,7 @@
 // PSF — hot-path performance features (docs/PERFORMANCE.md):
 //
-//   * double-buffered stream pipelines — devsim::StreamPipeline overlaps
-//     the H2D copy of chunk k+1 with kernel k on two streams, records the
-//     copy -> kernel "stream" trace edges, and accounts the overlapped
-//     interval into devsim.copy_overlap_vtime.
+//   * halo-exchange overlap — inner tiles computed under the exchange beat
+//     the serial exchange in virtual time and leave the fields identical.
 //   * SIMD row kernels — StencilRuntime hands every classified cell run to
 //     a registered row function, fused emitting passes included; grids and
 //     staged reduction bytes must match the scalar per-cell path exactly at
@@ -21,20 +19,13 @@
 #include <vector>
 
 #include "apps/heat3d.h"
-#include "devsim/device.h"
 #include "minimpi/communicator.h"
 #include "pattern/api.h"
-#include "support/metrics.h"
 #include "support/rng.h"
 #include "support/simd.h"
-#include "timemodel/trace.h"
 
 namespace psf {
 namespace {
-
-double timer_seconds(const char* name) {
-  return metrics::Registry::global().timer(name).seconds();
-}
 
 pattern::EnvOptions hybrid_options(const std::string& profile) {
   pattern::EnvOptions options;
@@ -62,74 +53,13 @@ apps::heat3d::Result run_heat3d(const pattern::EnvOptions& options,
   return result;
 }
 
-// --- double-buffered stream pipelines ---------------------------------------
+// --- halo-exchange overlap --------------------------------------------------
 
-devsim::DeviceDescriptor gpu_descriptor() {
-  devsim::DeviceDescriptor gpu;
-  gpu.type = devsim::DeviceType::kGpu;
-  gpu.id = 1;
-  gpu.compute_units = 4;
-  gpu.memory_bytes = 1 << 24;
-  return gpu;
-}
-
-TEST(HotpathPipeline, CopyOverlapsKernelAndFinishBeatsSerial) {
-  timemodel::Timeline host;
-  devsim::Device device(gpu_descriptor(), host);
-  const double overlap_before = timer_seconds("devsim.copy_overlap_vtime");
-
-  devsim::StreamPipeline pipeline(device);
-  constexpr std::size_t kBytes = 1 << 20;
-  constexpr double kKernelS = 1.0e-3;
-  const double copy_s = device.descriptor().h2d_link.cost(kBytes);
-  constexpr int kChunks = 6;
-  for (int i = 0; i < kChunks; ++i) pipeline.step(kBytes, kKernelS);
-
-  // Serial would pay copy + kernel per chunk; the ping-pong pipeline hides
-  // each copy behind the previous kernel, so only the first copy is
-  // exposed in steady state.
-  const double serial = kChunks * (copy_s + kKernelS);
-  EXPECT_LT(pipeline.finish(), serial);
-  EXPECT_GE(pipeline.finish(), kChunks * std::max(copy_s, kKernelS));
-  EXPECT_GT(pipeline.overlap_vtime(), 0.0);
-  EXPECT_GT(timer_seconds("devsim.copy_overlap_vtime"), overlap_before);
-
-  pipeline.drain(host);
-  EXPECT_GE(host.now(), pipeline.finish());
-}
-
-TEST(HotpathPipeline, RecordsCopyToKernelStreamEdges) {
-  timemodel::Timeline host;
-  devsim::Device device(gpu_descriptor(), host);
-  timemodel::TraceRecorder trace;
-  device.set_trace(&trace, /*rank=*/0, /*lane=*/1);
-
-  devsim::StreamPipeline pipeline(device);
-  for (int i = 0; i < 3; ++i) pipeline.step(1 << 16, 5.0e-4, "tile kernel");
-
-  int copy_spans = 0;
-  int kernel_spans = 0;
-  for (const auto& span : trace.spans()) {
-    if (span.category == "copy") ++copy_spans;
-    if (span.category == "compute") ++kernel_spans;
-  }
-  EXPECT_EQ(copy_spans, 3);
-  EXPECT_EQ(kernel_spans, 3);
-  int stream_edges = 0;
-  for (const auto& edge : trace.edges()) {
-    if (edge.kind == "stream") ++stream_edges;
-  }
-  // Every chunk's kernel depends on its own upload.
-  EXPECT_GE(stream_edges, 3);
-}
-
-TEST(HotpathPipeline, Heat3dOverlapPipelineBeatsNoOverlapAtTwoRanks) {
+TEST(HotpathOverlap, Heat3dOverlapBeatsNoOverlapAtTwoRanks) {
   auto on = hybrid_options("heat3d");
   on.overlap = true;
-  on.stream_pipeline = true;
   auto off_options = hybrid_options("heat3d");
   off_options.overlap = false;
-  off_options.stream_pipeline = false;
 
   const auto fast = run_heat3d(on);
   const auto slow = run_heat3d(off_options);
@@ -344,12 +274,11 @@ TEST(HotpathSimd, RowDispatch3dBitIdenticalToScalarAtEveryWidth) {
                                 avg7_fp, avg7_row_fp);
 }
 
-// --- overlap, pipeline and row kernels together, across executor widths --
+// --- overlap and row kernels together, across executor widths ------------
 
 TEST(HotpathWidth, AllLegsOnBitIdenticalAcrossExecutorWidths) {
   auto options = hybrid_options("heat3d");
   options.overlap = true;
-  options.stream_pipeline = true;
   const auto w1 = run_heat3d(options, 2, 1);
   const auto w7 = run_heat3d(options, 2, 7);
   EXPECT_DOUBLE_EQ(w1.vtime, w7.vtime);

@@ -278,6 +278,37 @@ TEST(ServeJobContext, FaultEventsLandInTheJobLog) {
       << "per-job fault events must not leak into the global log";
 }
 
+/// One tenant's exhausted link must fail that tenant only: the lossy sobel
+/// job's overlapped inner tiles run on the shared executor, and the job
+/// must not free the grid they read before they finish. A clean job
+/// submitted afterwards still completes.
+TEST(ServeFault, LossyStencilJobFailsAloneAndLaterJobsComplete) {
+  Server server(ServerOptions{}.with_workers(2).with_executor_threads(2));
+  const apps::sobel::Params params;
+  auto lossy = server.submit(JobSpec{}.with_name("lossy-sobel").with_fn(
+      jobs::sobel(params, jobs::WorkloadOptions{}
+                              .with_ranks(2)
+                              .with_gpus(2)
+                              .with_fault_plan(
+                                  "msg_drop:p=0.99,retries=1,seed=1"))));
+  ASSERT_TRUE(lossy.is_ok());
+  const JobResult failed = lossy.value().wait();
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_EQ(failed.status.code(), support::ErrorCode::kInternal);
+  EXPECT_NE(failed.status.message().find(
+                "exhausted 1 retransmissions under the fault plan"),
+            std::string::npos)
+      << failed.status.to_string();
+
+  auto clean = server.submit(JobSpec{}.with_name("clean-sobel").with_fn(
+      jobs::sobel(params,
+                  jobs::WorkloadOptions{}.with_ranks(2).with_gpus(2))));
+  ASSERT_TRUE(clean.is_ok());
+  const JobResult done = clean.value().wait();
+  EXPECT_EQ(done.state, JobState::kDone) << done.status.to_string();
+  EXPECT_GT(done.vtime, 0.0);
+}
+
 /// A job submitted with record_trace captures its schedule in its own
 /// recorder; jobs without tracing record nothing.
 TEST(ServeJobContext, PerJobTraceIsCaptured) {
